@@ -73,15 +73,12 @@ run_stage "release build + ctest (invariants on)" \
 
 # ---------------------------------------------------------------- 2.
 # mmr-lint: project-semantic rules (determinism, hot-path allocation,
-# Clocked contracts, Cycle hygiene).  The auto backend upgrades itself
-# to libclang via build/compile_commands.json when available and falls
-# back to the bundled token backend otherwise.
+# Clocked contracts, Cycle hygiene), on the bundled token backend.
 if command -v python3 >/dev/null 2>&1; then
     run_stage "mmr-lint fixture self-test" \
         python3 "$ROOT/tests/lint/run_fixtures.py"
     run_stage "mmr-lint over src/" \
-        python3 "$ROOT/tools/mmr-lint/mmr_lint.py" --root "$ROOT" \
-        --compile-commands "$ROOT/build/compile_commands.json" src
+        python3 "$ROOT/tools/mmr-lint/mmr_lint.py" --root "$ROOT" src
 else
     note "python3 not installed -- skipping mmr-lint"
 fi

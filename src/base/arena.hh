@@ -68,6 +68,10 @@ class Arena
     {
         static_assert(std::is_trivially_destructible_v<T>,
                       "arena objects are never destroyed");
+        // Offsets are aligned relative to the chunk start, and chunks
+        // come from new[]: stricter alignment would be silently lost.
+        static_assert(alignof(T) <= alignof(std::max_align_t),
+                      "arena chunks are only max_align_t-aligned");
         const std::size_t bytes = n * sizeof(T);
         std::size_t off = align(cursor, alignof(T));
         if (chunk >= chunks.size() || off + bytes > chunks[chunk].size) {

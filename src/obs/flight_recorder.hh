@@ -1,31 +1,27 @@
 /**
  * @file
- * Crash flight recorder: a fixed-size ring of the most recent
- * scheduler / flit / credit / fault events, always on, that dumps a
- * Chrome trace-event snapshot when the simulator dies.
+ * The simulator's one event pipeline: an always-on ring of the most
+ * recent scheduler / flit / credit / setup / fault events with two
+ * drains.
  *
- * The Tracer answers "what happened during this run I chose to
- * instrument"; the flight recorder answers "what were the last few
- * thousand events before the panic I did not see coming".  PR 4's
- * fault subsystem can abandon a recovery or trip an invariant deep
- * into a randomized schedule — without a black box the post-mortem
- * starts from a stack trace and a seed.  With one, the dump shows the
- * grants, credits and fault events leading up to the failure, in
- * Perfetto, with no re-run needed.
+ * - The crash dump: on mmr_panic (so also mmr_invariant_violated and
+ *   mmr_assert, via the log::setPanicHook hook installed on first
+ *   activate()), on RecoveryManager abandonment, and on
+ *   --flight-recorder-dump=PATH, the retained window is written as a
+ *   Chrome trace-event snapshot, so a post-mortem starts from the
+ *   events leading up to the failure, in Perfetto, with no re-run.
+ * - The trace: --trace attaches a TraceSink that copies committed ring
+ *   lines out before the ring overwrites them, keeps the
+ *   --trace-from/--trace-to window up to an event cap, and is written
+ *   at the end of the run.
  *
- * Design constraints, in order: (1) the push must be legal under
- * MMR_HOT_PATH — the ring is preallocated at construction and note()
- * is a masked store plus an increment, no branches beyond the
- * is-active check shared with the Tracer macros; (2) dumping must
- * work from a panic handler — writeChromeJson touches only the ring
- * and a FILE*, never the allocator-heavy Tracer path; (3) recorders
- * are thread-local like Tracer::current, so parallel sweep workers
- * each keep their own black box.
- *
- * Dump triggers: mmr_panic (and therefore mmr_invariant_violated and
- * mmr_assert) via the log::setPanicHook hook installed on first
- * activate(), RecoveryManager abandonment, and an explicit
- * --flight-recorder-dump=PATH end-of-run dump.
+ * Constraints, in order: (1) the push is legal under MMR_HOT_PATH —
+ * the ring is preallocated and each site costs one pointer-and-mask
+ * test; (2) the crash dump works from a panic handler, touching only
+ * the ring and an output stream; (3) recorders are thread-local, so
+ * parallel sweep workers each keep their own.  Timestamps are flit
+ * cycles and the "tid" lane is the port (or node) an event concerns;
+ * same-seed runs produce bit-identical output.
  */
 
 #ifndef MMR_OBS_FLIGHT_RECORDER_HH
@@ -33,6 +29,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -41,19 +38,50 @@
 #endif
 
 #include "base/types.hh"
-#include "obs/trace.hh"
 
 namespace mmr
 {
 
+/** Event categories, each independently switchable. */
+enum class TraceCat : std::uint8_t
+{
+    Flit,      ///< inject / VC alloc / switch transmit
+    Sched,     ///< switch-scheduler grants and matching size
+    Admission, ///< bandwidth admission accept/reject
+    Credit,    ///< credit consume/replenish (high volume)
+    Setup,     ///< probe/EPB connection establishment phases
+    Control,   ///< VCT cut-throughs, control-word application
+    Fault,     ///< link fail/repair, corruption, recovery retries
+    NumCats
+};
+
+constexpr std::uint32_t kAllTraceCats =
+    (1u << static_cast<unsigned>(TraceCat::NumCats)) - 1;
+
+const char *to_string(TraceCat c);
+
+/** Every category name joined by @p sep ("flit|sched|...|fault"). */
+std::string traceCatNames(const char *sep);
+
+/** Parse "flit,sched,admission" style lists ("" or "all" = every
+ * category); an unknown name is a user error (mmr_fatal). */
+std::uint32_t traceCatMaskFromString(const std::string &spec);
+
+class TraceSink;
+
 class FlightRecorder
 {
   public:
-    /** One recorded event; mirrors Tracer's record so both can be fed
-     * from the same instrumentation site.  Packed to 32 bytes: the
-     * ring is written ~20 times per simulated cycle, so its footprint
-     * competes directly with the VC arrays for L2 (lane is a port
-     * index, never near 2^16).  */
+    /** Chrome trace-event phase of a record. */
+    enum class Phase : std::uint8_t
+    {
+        Instant, ///< a point event; a0/a1 are small integer args
+        Counter, ///< a counter-track sample; a0 is the value
+    };
+
+    /** One recorded event, packed to 32 bytes: the ring is written
+     * ~20 times per simulated cycle, so its footprint competes with
+     * the VC arrays for L2 (a lane is a port or node, below 2^16). */
     struct alignas(32) Event
     {
         Cycle cycle;
@@ -63,6 +91,7 @@ class FlightRecorder
         std::int32_t a1;
         std::uint16_t lane;
         TraceCat cat;
+        Phase phase;
     };
     static_assert(sizeof(Event) == 32,
                   "flight-recorder events must stay cache-compact");
@@ -74,10 +103,8 @@ class FlightRecorder
         Event e[2];
     };
 
-    /** Default ring depth.  2048 events (~64KB) still spans the last
-     * ~100 cycles of an 8-port run while leaving L2 to the simulator
-     * proper; a deeper post-mortem window is one CLI flag away
-     * (--flight-recorder-depth). */
+    /** 2048 events (~64KB) span the last ~100 cycles of an 8-port run
+     * while leaving L2 to the simulator proper. */
     static constexpr std::size_t kDefaultCapacity = 1u << 11;
 
     /** @param capacity ring depth; rounded up to a power of two. */
@@ -90,10 +117,10 @@ class FlightRecorder
     /** The calling thread's installed recorder; nullptr = none. */
     static FlightRecorder *active() { return current; }
 
-    /** Fast-path test used by MMR_OBS_EVENT. */
+    /** Is any recorder installed on this thread? */
     static bool wants() { return current != nullptr; }
 
-    /** wants() plus the active recorder's category filter. */
+    /** MMR_OBS_EVENT's test: wants() plus the category mask. */
     static bool
     wantsCat(TraceCat c)
     {
@@ -102,11 +129,9 @@ class FlightRecorder
                    0;
     }
 
-    /** Restrict recording to the categories in @p mask (bit index =
-     * TraceCat value).  A fresh recorder accepts everything; the CLI
-     * session narrows this to the low-volume forensic categories. */
-    void setCategoryMask(std::uint32_t mask) { catMask = mask; }
-    std::uint32_t categoryMask() const { return catMask; }
+    /** Record only the categories in @p cats (bit = TraceCat value);
+     * a fresh recorder accepts everything. */
+    void setCategoryMask(std::uint32_t cats) { catMask = cats; }
 
     /** Install as this thread's recorder and hook mmr_panic so a
      * crash dumps the ring (at most one active per thread). */
@@ -117,23 +142,22 @@ class FlightRecorder
 
     /** Where crash dumps land; default "mmr-flight.json" in cwd. */
     void setDumpPath(const std::string &path) { dumpFile = path; }
-    const std::string &dumpPath() const { return dumpFile; }
 
     /**
-     * Allocation-free ring push: a store into the always-hot staging
-     * line plus, every second event, one full-cache-line commit into
-     * the ring.  The ring is write-only until a post-mortem dump, so
-     * on x86 the commit uses non-temporal stores — a complete 64-byte
+     * Allocation-free ring push: a store into the L1-hot staging line
+     * plus, every second event, one full-line commit into the ring.
+     * On x86 the commit uses non-temporal stores — a whole 64-byte
      * line written back-to-back drains the write-combining buffer in
-     * a single burst, costing the simulator no L1/L2 residency and no
-     * read-for-ownership traffic.  (Streaming each 32-byte event on
-     * its own would flush the WC buffer half-full every time and is
-     * slower than plain stores; the pairwise staging is what makes
-     * the always-on recorder affordable.)
+     * one burst, costing no cache residency and no read-for-ownership
+     * (streaming single 32-byte events would flush it half-full and
+     * be slower than plain stores).  An attached trace is drained once
+     * per ring's worth of events, just before the ring would
+     * overwrite its oldest uncopied line.
      */
     MMR_HOT_PATH void
     note(TraceCat cat, const char *name, Cycle now, std::uint32_t lane,
-         ConnId conn, std::int32_t a0 = -1, std::int32_t a1 = -1)
+         ConnId conn, std::int32_t a0 = -1, std::int32_t a1 = -1,
+         Phase phase = Phase::Instant)
     {
         Event &e = staged.e[static_cast<std::size_t>(head) & 1];
         e.cycle = now;
@@ -143,6 +167,7 @@ class FlightRecorder
         e.a1 = a1;
         e.lane = static_cast<std::uint16_t>(lane);
         e.cat = cat;
+        e.phase = phase;
         if (head & 1) {
             EventPair &line =
                 ring[(static_cast<std::size_t>(head) & mask) >> 1];
@@ -157,6 +182,8 @@ class FlightRecorder
 #else
             line = staged;
 #endif
+            if (head + 1 == drainAt)
+                drainTrace(head + 1);
         }
         ++head;
     }
@@ -172,28 +199,34 @@ class FlightRecorder
     /** Oldest retained event (valid when stored() > 0). */
     const Event &oldest() const;
 
-    /**
-     * Serialize the retained window, oldest first, as Chrome
-     * trace-event JSON.  @p reason lands in the metadata so a dump
-     * says why it exists ("panic", "recovery_abandoned", ...).
-     */
+    /** Offer every event recorded from now on to @p sink, in order
+     * (one sink at a time; it must outlive the attachment). */
+    void attachTrace(TraceSink *sink);
+
+    /** Hand the undrained tail to the sink and detach it (also done
+     * by the destructor).  No-op without a sink. */
+    void detachTrace();
+
+    /** Serialize the retained window, oldest first, as Chrome
+     * trace-event JSON; @p reason ("panic", "recovery_abandoned",
+     * ...) lands in the metadata. */
     void writeChromeJson(std::ostream &os, const char *reason) const;
 
     /** writeChromeJson to @p path; false (with a warning) on I/O
      * failure.  Safe to call from the panic path. */
     bool dumpTo(const std::string &path, const char *reason) const;
 
-    /**
-     * Dump the calling thread's active recorder to its dump path.
-     * No-op (returns false) when no recorder is active; used by the
-     * panic hook and the RecoveryManager abandonment path.
-     */
+    /** Dump the calling thread's active recorder to its dump path;
+     * false when none is active.  Used by the panic hook and the
+     * RecoveryManager abandonment path. */
     static bool dumpActive(const char *reason);
 
   private:
-    /** Event @p idx (< head), wherever it currently lives: the most
-     * recent event sits in the staging line until its pair-mate
-     * completes the cache line and both are committed to the ring. */
+    static constexpr std::uint64_t kNoDrain =
+        std::numeric_limits<std::uint64_t>::max();
+
+    /** Event @p idx (< head), wherever it lives: the most recent one
+     * sits in the staging line until its pair-mate completes it. */
     const Event &
     eventAt(std::uint64_t idx) const
     {
@@ -203,32 +236,66 @@ class FlightRecorder
         return ring[slot >> 1].e[slot & 1];
     }
 
-    static thread_local FlightRecorder *current;
+    /** Offer events [drained, @p end) to the sink. */
+    void drainTrace(std::uint64_t end);
+
+    // Constant-initialized in every translation unit, so the
+    // per-site test reads the TLS slot directly (no init wrapper).
+    static inline thread_local FlightRecorder *current = nullptr;
 
     std::vector<EventPair> ring; ///< preallocated, power-of-two lines
     std::size_t mask;            ///< event-index mask (capacity - 1)
-    std::uint32_t catMask = ~0u; ///< accepted TraceCat bits
+    std::uint32_t catMask = kAllTraceCats; ///< accepted TraceCat bits
     std::uint64_t head = 0;
+    std::uint64_t drainAt = kNoDrain; ///< head + 1 that drains the ring
     EventPair staged{};          ///< L1-hot line under construction
+    TraceSink *sink = nullptr;   ///< attached trace drain, if any
+    std::uint64_t drained = 0;   ///< events already offered to sink
     std::string dumpFile = "mmr-flight.json";
+};
+
+/**
+ * The --trace drain: every event its recorder commits while attached
+ * with a cycle in [from, to], up to @p max_events (later ones are
+ * dropped and counted in the JSON).
+ */
+class TraceSink
+{
+  public:
+    static constexpr std::size_t kDefaultMaxEvents = 1u << 22;
+
+    explicit TraceSink(
+        Cycle from = 0, Cycle to = std::numeric_limits<Cycle>::max(),
+        std::size_t max_events = kDefaultMaxEvents);
+
+    std::size_t eventCount() const { return events.size(); }
+    std::uint64_t droppedEvents() const { return dropped; }
+
+    /** Serialize everything as Chrome trace-event JSON. */
+    void writeChromeJson(std::ostream &os) const;
+
+  private:
+    friend class FlightRecorder;
+
+    void offer(const FlightRecorder::Event &e);
+
+    Cycle fromCycle;
+    Cycle toCycle;
+    std::size_t maxEvents;
+    std::vector<FlightRecorder::Event> events;
+    std::uint64_t dropped = 0;
 };
 
 } // namespace mmr
 
-// ---------------------------------------------------------------------
-// Combined instrumentation: one is-active branch per layer.  Hot sites
-// that should survive into a crash dump use MMR_OBS_EVENT instead of
-// MMR_TRACE_INSTANT; the tracer half still compiles out under
-// -DMMR_TRACING_ENABLED=0 while the flight recorder stays available.
-// ---------------------------------------------------------------------
-
+/** The instrumentation macro: one thread-local pointer test and one
+ * mask test per site; trailing arguments are note()'s a0, a1, phase. */
 #define MMR_OBS_EVENT(cat, name, now, lane, conn, ...) \
     do { \
         if (::mmr::FlightRecorder::wantsCat(cat)) { \
             ::mmr::FlightRecorder::active()->note( \
                 cat, name, now, lane, conn, ##__VA_ARGS__); \
         } \
-        MMR_TRACE_INSTANT(cat, name, now, lane, conn, ##__VA_ARGS__); \
     } while (0)
 
 #endif // MMR_OBS_FLIGHT_RECORDER_HH

@@ -7,28 +7,41 @@
 namespace mmr
 {
 
+std::uint32_t
+ObsConfig::categoryMask() const
+{
+    if (!traceCats.empty())
+        return traceCatMaskFromString(traceCats);
+    if (wantsTrace())
+        return kAllTraceCats;
+    return traceCatMaskFromString("sched,admission,setup,control,fault");
+}
+
 ObsSession::ObsSession(const ObsConfig &c) : cfg(c)
 {
     // The flight recorder is always on — the runs that crash are the
     // runs nobody thought to instrument.  A nested session (a harness
     // run inside a front end that already activated one) records into
-    // the outer black box instead of fighting over the thread slot.
-    flight = std::make_unique<FlightRecorder>(cfg.flightRecorderDepth);
-    flight->setCategoryMask(
-        traceCatMaskFromString(cfg.flightRecorderCats));
-    if (!cfg.flightRecorderPath.empty())
-        flight->setDumpPath(cfg.flightRecorderPath);
-    if (FlightRecorder::active() == nullptr) {
+    // the outer black box, under the outer's category mask, instead of
+    // fighting over the thread slot.
+    ring = FlightRecorder::active();
+    if (ring == nullptr) {
+        flight = std::make_unique<FlightRecorder>();
+        flight->setCategoryMask(cfg.categoryMask());
+        if (!cfg.flightRecorderPath.empty())
+            flight->setDumpPath(cfg.flightRecorderPath);
         flight->activate();
-        ownsFlightActivation = true;
+        ring = flight.get();
     }
 }
 
 ObsSession::~ObsSession()
 {
     // Deliberately no auto-finish: writing files is an explicit act
-    // (the caller knows the final cycle); the tracer detaches itself
-    // and the flight recorder deactivates with its destructor.
+    // (the caller knows the final cycle).  An unfinished trace is only
+    // detached, so the ring never holds a dangling sink.
+    if (traceSink != nullptr && !finished)
+        ring->detachTrace();
 }
 
 void
@@ -55,10 +68,9 @@ ObsSession::attach(Kernel &kernel)
     }
 
     if (cfg.wantsTrace()) {
-        trace = std::make_unique<Tracer>(cfg.traceMaxEvents);
-        trace->setCategoryMask(traceCatMaskFromString(cfg.traceCats));
-        trace->setCycleRange(cfg.traceFrom, cfg.traceTo);
-        trace->activate();
+        traceSink =
+            std::make_unique<TraceSink>(cfg.traceFrom, cfg.traceTo);
+        ring->attachTrace(traceSink.get());
     }
 
     if (cfg.profileComponents)
@@ -72,7 +84,9 @@ ObsSession::finish(Cycle now)
         return;
     finished = true;
 
-    if (ownsFlightActivation) {
+    if (traceSink != nullptr)
+        ring->detachTrace();
+    if (flight != nullptr) {
         if (!cfg.flightRecorderPath.empty())
             flight->dumpTo(cfg.flightRecorderPath, "end_of_run");
         flight->deactivate();
@@ -88,12 +102,11 @@ ObsSession::finish(Cycle now)
             sampl->sampleNow(now);
     }
 
-    if (trace != nullptr) {
-        trace->deactivate();
+    if (traceSink != nullptr) {
         std::ofstream os(cfg.tracePath);
         if (!os)
             mmr_fatal("cannot open trace output '", cfg.tracePath, "'");
-        trace->writeChromeJson(os);
+        traceSink->writeChromeJson(os);
     }
 
     if (!cfg.statsJsonPath.empty()) {
@@ -136,8 +149,9 @@ addObsFlags(Cli &cli)
 {
     cli.flag("trace", "", "Chrome trace-event JSON output file");
     cli.flag("trace-cats", "",
-             "trace categories (flit,sched,admission,credit,setup,"
-             "control; default all)");
+             "event categories to record (" + traceCatNames(",") +
+                 " or all; default all under --trace, else "
+                 "sched,admission,setup,control,fault)");
     cli.flag("trace-from", "0", "first cycle to trace");
     cli.flag("trace-to", "0", "last cycle to trace (0 = unbounded)");
     cli.flag("stats-json", "", "stats registry + series JSON output");
@@ -156,12 +170,6 @@ addObsFlags(Cli &cli)
     cli.flag("flight-recorder-dump", "",
              "also dump the crash flight recorder at end of run "
              "(crash dumps are always on)");
-    cli.flag("flight-recorder-depth", "2048",
-             "flight-recorder ring depth in events (power of two)");
-    cli.flag("flight-recorder-cats",
-             "sched,admission,setup,control,fault",
-             "categories the crash recorder keeps ('all' adds the "
-             "high-volume flit/credit streams)");
 }
 
 ObsConfig
@@ -170,10 +178,14 @@ obsConfigFromCli(const Cli &cli)
     ObsConfig c;
     c.tracePath = cli.str("trace");
     c.traceCats = cli.str("trace-cats");
+    traceCatMaskFromString(c.traceCats); // a typo fails here, loudly
     c.traceFrom = static_cast<Cycle>(cli.integer("trace-from"));
     const auto to = static_cast<Cycle>(cli.integer("trace-to"));
     if (to > 0)
         c.traceTo = to;
+    if (c.traceFrom > c.traceTo)
+        mmr_fatal("--trace-from=", c.traceFrom, " is after --trace-to=",
+                  c.traceTo);
     c.statsJsonPath = cli.str("stats-json");
     c.statsCsvPath = cli.str("stats-csv");
     c.vcdPath = cli.str("vcd");
@@ -182,10 +194,6 @@ obsConfigFromCli(const Cli &cli)
     c.perVcStats = cli.boolean("stats-per-vc");
     c.profileComponents = cli.boolean("profile");
     c.flightRecorderPath = cli.str("flight-recorder-dump");
-    const auto depth = cli.integer("flight-recorder-depth");
-    if (depth > 0)
-        c.flightRecorderDepth = static_cast<std::size_t>(depth);
-    c.flightRecorderCats = cli.str("flight-recorder-cats");
     return c;
 }
 

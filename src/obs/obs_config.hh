@@ -6,11 +6,11 @@
  *
  * ObsConfig is plain data filled from CLI flags (--trace=,
  * --stats-json=, --sample-every=, --vcd=, ...).  ObsSession owns the
- * live objects the config asks for — stats registry, sampler, tracer,
- * VCD stream — wires the sampler into a kernel, and writes every
- * requested file in finish().  A default-constructed ObsConfig makes
- * ObsSession a no-op: nothing is allocated, no tracer is installed,
- * and the simulation fast path stays untouched.
+ * live objects the config asks for — stats registry, sampler, the
+ * always-on flight recorder and its trace sink, VCD stream — wires the
+ * sampler into a kernel, and writes every requested file in finish().
+ * A default-constructed ObsConfig leaves only the flight recorder
+ * running, on its low-volume forensic categories.
  */
 
 #ifndef MMR_OBS_OBS_CONFIG_HH
@@ -27,7 +27,6 @@
 #include "obs/flight_recorder.hh"
 #include "obs/sampler.hh"
 #include "obs/stats_registry.hh"
-#include "obs/trace.hh"
 #include "obs/vcd.hh"
 
 namespace mmr
@@ -50,12 +49,12 @@ struct ObsConfig
     /** Stat selection patterns for the sampler (empty = all). */
     std::vector<std::string> sampleStats;
 
-    /** Trace category list ("flit,sched"); empty/"all" = everything. */
+    /** Categories the event ring records ("flit,sched" or "all");
+     * empty = see categoryMask(). */
     std::string traceCats;
 
     Cycle traceFrom = 0;
     Cycle traceTo = std::numeric_limits<Cycle>::max();
-    std::size_t traceMaxEvents = 1u << 22;
 
     /** Attribute wall time to kernel components (slows the run). */
     bool profileComponents = false;
@@ -64,29 +63,19 @@ struct ObsConfig
      * wide CSVs; off by default). */
     bool perVcStats = false;
 
-    /**
-     * End-of-run flight-recorder dump path.  The recorder itself is
-     * always on (crash forensics matter most on the runs nobody
-     * thought to instrument) and dumps to its default path on panic;
-     * this adds an unconditional dump at finish() for inspection of
-     * healthy runs.
-     */
+    /** Crash-dump path, also dumped at finish() when set.  The
+     * recorder is always on: crash forensics matter most on the runs
+     * nobody thought to instrument. */
     std::string flightRecorderPath;
 
-    /** Flight-recorder ring depth in events (rounded up to a power
-     * of two). */
-    std::size_t flightRecorderDepth = FlightRecorder::kDefaultCapacity;
-
     /**
-     * Categories the always-on recorder keeps.  Defaults to the
-     * low-volume forensic set: scheduler grants already record one
-     * event per moved flit (input port, VC, conn, output port), so
-     * the per-flit `flit`/`credit` streams triple the event rate for
-     * little post-mortem signal — recording them measurably slows
-     * the simulator.  "all" restores every category.
+     * The event ring's one category mask: traceCats when given, every
+     * category under --trace, otherwise the low-volume forensic set
+     * (sched, admission, setup, control, fault).  A grant already
+     * records one event per moved flit, so the per-flit flit/credit
+     * streams triple the event rate for little post-mortem signal.
      */
-    std::string flightRecorderCats =
-        "sched,admission,setup,control,fault";
+    std::uint32_t categoryMask() const;
 
     bool wantsTrace() const { return !tracePath.empty(); }
     bool wantsSampler() const
@@ -116,22 +105,12 @@ class ObsSession
     StatsRegistry &registry() { return stats; }
 
     /**
-     * Create the sampler/tracer/VCD objects the config asks for and
-     * add the sampler to @p kernel (call after every registerStats).
-     * Also enables component profiling on the kernel if requested.
-     * No-op when the config is empty.
+     * Create the sampler/VCD objects the config asks for, add the
+     * sampler to @p kernel (call after every registerStats), attach
+     * the trace sink to the event ring, and enable component profiling
+     * if requested.  No-op when the config is empty.
      */
     void attach(Kernel &kernel);
-
-    /** The live tracer, or nullptr when tracing is off. */
-    Tracer *tracer() { return trace.get(); }
-
-    /** The live sampler, or nullptr when sampling is off. */
-    StatsSampler *sampler() { return sampl.get(); }
-
-    /** The session's black box (always constructed; installed as the
-     * thread's recorder unless an outer session already owns it). */
-    FlightRecorder *flightRecorder() { return flight.get(); }
 
     /**
      * Hook writing a JSON value (the latency-histogram object) into
@@ -154,12 +133,13 @@ class ObsSession
     ObsConfig cfg;
     StatsRegistry stats;
     std::unique_ptr<StatsSampler> sampl;
-    std::unique_ptr<Tracer> trace;
     std::unique_ptr<std::ofstream> vcdStream;
     std::unique_ptr<VcdWriter> vcd;
+    /** Own black box, made only when no outer one is active. */
     std::unique_ptr<FlightRecorder> flight;
+    FlightRecorder *ring = nullptr; ///< own or outer: where events go
+    std::unique_ptr<TraceSink> traceSink;
     std::function<void(std::ostream &)> histDump;
-    bool ownsFlightActivation = false;
     bool attached = false;
     bool finished = false;
 };
@@ -167,12 +147,14 @@ class ObsSession
 /**
  * Declare the standard observability flags (--trace=, --trace-cats=,
  * --trace-from/-to=, --stats-json=, --stats-csv=, --vcd=,
- * --sample-every=, --sample-stats=, --stats-per-vc, --profile) on a
- * Cli, all defaulting to "off".
+ * --sample-every=, --sample-stats=, --stats-per-vc, --profile,
+ * --flight-recorder-dump=) on a Cli, all defaulting to "off".
  */
 void addObsFlags(Cli &cli);
 
-/** Build an ObsConfig from flags declared by addObsFlags. */
+/** Build an ObsConfig from flags declared by addObsFlags.  An unknown
+ * trace category or an inverted --trace-from/--trace-to window is a
+ * user error (mmr_fatal). */
 ObsConfig obsConfigFromCli(const Cli &cli);
 
 /**

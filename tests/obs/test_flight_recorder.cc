@@ -2,7 +2,7 @@
  * @file
  * Tests for the crash flight recorder: ring retention and wrap
  * behaviour, the Chrome-trace dump format, the MMR_OBS_EVENT
- * dual-sink macro, and the panic hook that turns an mmr_assert deep
+ * macro, and the panic hook that turns an mmr_assert deep
  * in a run into a post-mortem artifact.
  */
 
@@ -94,19 +94,19 @@ TEST(FlightRecorder, ChromeJsonIsOldestFirstWithReason)
     std::ostringstream os;
     fr.writeChromeJson(os, "unit_test");
     const std::string s = os.str();
-    EXPECT_NE(s.find("\"reason\":\"unit_test\""), std::string::npos)
+    EXPECT_NE(s.find("\"reason\": \"unit_test\""), std::string::npos)
         << s;
-    EXPECT_NE(s.find("\"recorded\":6"), std::string::npos);
-    EXPECT_NE(s.find("\"retained\":4"), std::string::npos);
+    EXPECT_NE(s.find("\"recorded\": 6"), std::string::npos);
+    EXPECT_NE(s.find("\"retained\": 4"), std::string::npos);
     // Oldest retained first (cycle 20), newest (cycle 50) last.
-    const auto first = s.find("\"ts\":20");
-    const auto last = s.find("\"ts\":50");
+    const auto first = s.find("\"ts\": 20,");
+    const auto last = s.find("\"ts\": 50,");
     EXPECT_NE(first, std::string::npos);
     EXPECT_NE(last, std::string::npos);
     EXPECT_LT(first, last);
-    EXPECT_EQ(s.find("\"ts\":10"), std::string::npos)
+    EXPECT_EQ(s.find("\"ts\": 10,"), std::string::npos)
         << "overwritten events must not leak into the dump";
-    EXPECT_NE(s.find("\"cat\":\"credit\""), std::string::npos);
+    EXPECT_NE(s.find("\"cat\": \"credit\""), std::string::npos);
 }
 
 TEST(FlightRecorder, DumpToWritesAFile)
@@ -121,7 +121,7 @@ TEST(FlightRecorder, DumpToWritesAFile)
     ASSERT_TRUE(in.good());
     std::stringstream buf;
     buf << in.rdbuf();
-    EXPECT_NE(buf.str().find("\"traceEvents\":["), std::string::npos);
+    EXPECT_NE(buf.str().find("\"traceEvents\": ["), std::string::npos);
     EXPECT_NE(buf.str().find("link_down"), std::string::npos);
     std::remove(path.c_str());
 }
@@ -153,10 +153,10 @@ TEST(FlightRecorderDeath, PanicDumpsTheBlackBox)
                            << path;
     std::stringstream buf;
     buf << in.rdbuf();
-    EXPECT_NE(buf.str().find("\"reason\":\"panic\""),
+    EXPECT_NE(buf.str().find("\"reason\": \"panic\""),
               std::string::npos)
         << buf.str();
-    EXPECT_NE(buf.str().find("\"retained\":16"), std::string::npos);
+    EXPECT_NE(buf.str().find("\"retained\": 16"), std::string::npos);
     std::remove(path.c_str());
 }
 

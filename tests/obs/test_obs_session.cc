@@ -3,15 +3,22 @@
  * End-to-end tests of the observability session through the §5
  * experiment harness: the sampler/registry outputs must reproduce the
  * MetricsRecorder aggregates, same-seed runs must produce bit-identical
- * trace/stats files, and per-run output paths must not collide.
+ * trace/stats files, and per-run output paths must not collide.  Also
+ * the CLI front door: obsConfigFromCli's defaults, window and
+ * user-error handling.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "base/cli.hh"
 #include "harness/single_router.hh"
 #include "obs/obs_config.hh"
 
@@ -72,7 +79,6 @@ TEST(ObsSession, StatsFileReproducesRecorderAggregates)
     EXPECT_NE(s.find("router0.flits.injected"), std::string::npos);
 }
 
-#if MMR_TRACING_ENABLED
 TEST(ObsSession, TraceCoversTheFlitLifecycle)
 {
     const std::string dir = ::testing::TempDir();
@@ -109,7 +115,30 @@ TEST(ObsSession, CategoryFilterNarrowsTheTrace)
         << "flit events must be filtered out";
     EXPECT_EQ(s.find("\"name\": \"grant\""), std::string::npos);
 }
-#endif // MMR_TRACING_ENABLED
+
+TEST(ObsSession, TraceWindowBoundsEveryEvent)
+{
+    // The trace drain copies the ring out across many wraps; only the
+    // window may survive, and the hot grant stream must be in it.
+    const std::string dir = ::testing::TempDir();
+    ExperimentConfig cfg = smallConfig();
+    cfg.obs.tracePath = dir + "obs_window.json";
+    cfg.obs.traceFrom = 2500;
+    cfg.obs.traceTo = 3000;
+
+    runSingleRouter(cfg);
+    const std::string s = slurp(cfg.obs.tracePath);
+    EXPECT_NE(s.find("\"name\": \"grant\""), std::string::npos);
+    std::size_t events = 0;
+    for (std::size_t at = s.find("\"ts\": "); at != std::string::npos;
+         at = s.find("\"ts\": ", at + 1)) {
+        const Cycle ts = std::stoull(s.substr(at + 6));
+        EXPECT_GE(ts, 2500u);
+        EXPECT_LE(ts, 3000u);
+        ++events;
+    }
+    EXPECT_GT(events, 500u) << "window holds too few events";
+}
 
 TEST(ObsSession, SameSeedRunsProduceBitIdenticalFiles)
 {
@@ -155,6 +184,76 @@ TEST(ObsSession, ComponentProfilingAttributesTime)
     for (const auto &[name, secs] : r.profile.componentSeconds)
         sawRouter = sawRouter || name == "router";
     EXPECT_TRUE(sawRouter) << "the router must appear in attribution";
+}
+
+/** obsConfigFromCli over "prog" + @p args (flags from addObsFlags). */
+ObsConfig
+configFromArgs(std::vector<const char *> args)
+{
+    Cli cli;
+    addObsFlags(cli);
+    args.insert(args.begin(), "prog");
+    EXPECT_TRUE(cli.parse(static_cast<int>(args.size()),
+                          const_cast<char **>(args.data())));
+    return obsConfigFromCli(cli);
+}
+
+TEST(ObsConfig, CliDefaultsLeaveOnlyTheForensicRecorder)
+{
+    const ObsConfig c = configFromArgs({});
+    EXPECT_FALSE(c.enabled());
+    EXPECT_TRUE(c.tracePath.empty());
+    EXPECT_TRUE(c.flightRecorderPath.empty());
+    EXPECT_EQ(c.traceFrom, 0u);
+    EXPECT_EQ(c.traceTo, std::numeric_limits<Cycle>::max());
+    EXPECT_EQ(c.categoryMask(),
+              traceCatMaskFromString("sched,admission,setup,control,"
+                                     "fault"));
+}
+
+TEST(ObsConfig, CliTraceWindowAndCategories)
+{
+    const ObsConfig w = configFromArgs(
+        {"--trace=t.json", "--trace-from=500", "--trace-to=600"});
+    EXPECT_EQ(w.traceFrom, 500u);
+    EXPECT_EQ(w.traceTo, 600u);
+    EXPECT_EQ(w.categoryMask(), kAllTraceCats)
+        << "--trace without --trace-cats records every category";
+
+    const ObsConfig open = configFromArgs({"--trace-from=500"});
+    EXPECT_EQ(open.traceTo, std::numeric_limits<Cycle>::max())
+        << "--trace-to=0 leaves the window open-ended";
+
+    const ObsConfig cats =
+        configFromArgs({"--trace=t.json", "--trace-cats=fault,sched"});
+    EXPECT_EQ(cats.categoryMask(),
+              traceCatMaskFromString("sched,fault"));
+    EXPECT_EQ(configFromArgs({"--trace-cats=all"}).categoryMask(),
+              kAllTraceCats);
+}
+
+TEST(ObsConfig, CliUnknownCategoryThrows)
+{
+    EXPECT_THROW(configFromArgs({"--trace-cats=flit,shced"}),
+                 std::runtime_error);
+}
+
+TEST(ObsConfig, CliInvertedWindowThrowsWithoutADump)
+{
+    // A typo is a user error (mmr_fatal), not an internal bug: it must
+    // not go through the panic hook and leave a bogus crash dump.
+    const std::string dump =
+        ::testing::TempDir() + "obs_inverted_window_dump.json";
+    std::remove(dump.c_str());
+    FlightRecorder fr;
+    fr.setDumpPath(dump);
+    fr.activate();
+    EXPECT_THROW(configFromArgs({"--trace=t.json", "--trace-from=500",
+                                 "--trace-to=100"}),
+                 std::runtime_error);
+    fr.deactivate();
+    EXPECT_FALSE(std::ifstream(dump).good())
+        << "an inverted window wrote a crash dump";
 }
 
 TEST(ObsPath, SuffixInsertsBeforeTheExtension)
