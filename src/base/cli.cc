@@ -1,5 +1,7 @@
 #include "base/cli.hh"
 
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -7,6 +9,29 @@
 
 namespace mmr
 {
+
+double
+parseFinite(const std::string &token, const std::string &what)
+{
+    const char *begin = token.c_str();
+    char *end = nullptr;
+    const double v = std::strtod(begin, &end);
+    if (end == begin || *end != '\0' ||
+        std::isspace(static_cast<unsigned char>(*begin)) ||
+        !std::isfinite(v))
+        mmr_fatal("bad number '", token, "' for ", what);
+    return v;
+}
+
+Cycle
+parseCycles(const std::string &token, const std::string &what)
+{
+    const double v = parseFinite(token, what);
+    // 2^64 is the first double a Cycle cannot hold.
+    if (v < 0.0 || v >= 18446744073709551616.0)
+        mmr_fatal(what, " must be a cycle count >= 0, got '", token, "'");
+    return static_cast<Cycle>(v);
+}
 
 void
 Cli::flag(const std::string &name, const std::string &def,

@@ -15,8 +15,21 @@
 #include <string>
 #include <vector>
 
+#include "base/types.hh"
+
 namespace mmr
 {
+
+/**
+ * Parse all of @p token as a finite number.  Empty input, leading
+ * whitespace, trailing junk, NaN and infinity are user errors
+ * (mmr_fatal naming @p what), never silently accepted.
+ */
+double parseFinite(const std::string &token, const std::string &what);
+
+/** parseFinite() of a cycle count: also rejects negative values and
+ * values a Cycle cannot hold; fractions truncate. */
+Cycle parseCycles(const std::string &token, const std::string &what);
 
 class Cli
 {

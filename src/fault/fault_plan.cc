@@ -1,11 +1,11 @@
 #include "fault/fault_plan.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
 #include <unordered_set>
 
+#include "base/cli.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
 
@@ -81,17 +81,6 @@ splitList(const std::string &s, char sep)
     return out;
 }
 
-double
-parseNumber(const std::string &key, const std::string &val)
-{
-    char *end = nullptr;
-    const double v = std::strtod(val.c_str(), &end);
-    if (end == val.c_str() || *end != '\0')
-        mmr_fatal("bad value '", val, "' for fault-model key '", key,
-                  "'");
-    return v;
-}
-
 } // namespace
 
 FaultModel
@@ -104,19 +93,19 @@ parseFaultModel(const std::string &spec)
             mmr_fatal("fault-model entry '", kv, "' is not key=value");
         const std::string key = kv.substr(0, eq);
         const std::string val = kv.substr(eq + 1);
+        const std::string what = "fault-model key '" + key + "'";
         if (key == "fail")
-            m.linkFailPer10k = parseNumber(key, val);
+            m.linkFailPer10k = parseFinite(val, what);
         else if (key == "repair")
-            m.meanRepairCycles =
-                static_cast<Cycle>(parseNumber(key, val));
+            m.meanRepairCycles = parseCycles(val, what);
         else if (key == "drop")
-            m.probeDropRate = parseNumber(key, val);
+            m.probeDropRate = parseFinite(val, what);
         else if (key == "corrupt")
-            m.corruptRate = parseNumber(key, val);
+            m.corruptRate = parseFinite(val, what);
         else if (key == "horizon")
-            m.horizon = static_cast<Cycle>(parseNumber(key, val));
+            m.horizon = parseCycles(val, what);
         else if (key == "partition")
-            m.allowPartition = parseNumber(key, val) != 0.0;
+            m.allowPartition = parseFinite(val, what) != 0.0;
         else
             mmr_fatal("unknown fault-model key '", key,
                       "' (expect fail/repair/drop/corrupt/horizon/"
@@ -225,17 +214,18 @@ FaultPlan::fromEvents(const std::string &spec, const Topology &topo)
         else
             mmr_fatal("bad fault event kind '", kind, "' in '", tok,
                       "'");
-        ev.at = static_cast<Cycle>(parseNumber(
-            "cycle", tok.substr(at_pos + 1, colon - at_pos - 1)));
-        ev.a = static_cast<NodeId>(parseNumber(
-            "node", tok.substr(colon + 1, dash - colon - 1)));
-        ev.b =
-            static_cast<NodeId>(parseNumber("node",
-                                            tok.substr(dash + 1)));
-        if (ev.a >= topo.numNodes() || ev.b >= topo.numNodes() ||
-            !topo.hasLink(ev.a, ev.b))
+        const std::string what = "fault event '" + tok + "'";
+        ev.at = parseCycles(tok.substr(at_pos + 1, colon - at_pos - 1),
+                            what);
+        const Cycle a =
+            parseCycles(tok.substr(colon + 1, dash - colon - 1), what);
+        const Cycle b = parseCycles(tok.substr(dash + 1), what);
+        if (a >= topo.numNodes() || b >= topo.numNodes() ||
+            !topo.hasLink(static_cast<NodeId>(a), static_cast<NodeId>(b)))
             mmr_fatal("fault event '", tok,
                       "' names a link the topology does not have");
+        ev.a = static_cast<NodeId>(a);
+        ev.b = static_cast<NodeId>(b);
         plan.schedule.push_back(ev);
     }
     std::stable_sort(plan.schedule.begin(), plan.schedule.end(),

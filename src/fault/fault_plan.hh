@@ -67,7 +67,8 @@ struct FaultModel
 /**
  * Parse "fail=0.01,repair=4000,drop=0.02,corrupt=1e-4,partition=1"
  * into a FaultModel (the --faults CLI syntax; keys may appear in any
- * order, missing keys keep their defaults).  Panics on unknown keys.
+ * order, missing keys keep their defaults).  Unknown keys, malformed
+ * or non-finite numbers and out-of-range rates are mmr_fatal.
  */
 FaultModel parseFaultModel(const std::string &spec);
 
@@ -103,8 +104,8 @@ class FaultPlan
     /**
      * Parse an explicit ';'-separated event list:
      * "down@500:2-3;up@900:2-3" fails then repairs link 2-3.  The
-     * model's stochastic rates stay zero.  Panics on malformed specs
-     * or non-adjacent node pairs.
+     * model's stochastic rates stay zero.  Malformed specs and
+     * non-adjacent node pairs are mmr_fatal.
      */
     static FaultPlan fromEvents(const std::string &spec,
                                 const Topology &topo);

@@ -1,8 +1,5 @@
 #include "network/epb.hh"
 
-#include <algorithm>
-
-#include "base/bitvector.hh"
 #include "base/logging.hh"
 
 namespace mmr
@@ -52,52 +49,119 @@ releaseHop(MmrRouter &router, const ReservedHop &hop,
 
 } // namespace
 
-std::vector<unsigned>
-survivingDistances(const Topology &topo, NodeId dst,
-                   const std::function<bool(NodeId, PortId)> &link_ok)
+void
+releasePath(const std::function<MmrRouter &(NodeId)> &router_at,
+            const std::vector<ReservedHop> &hops, const SetupRequest &req)
 {
-    if (!link_ok)
-        return topo.bfsDistances(dst);
-    SetupScratch scratch;
-    std::vector<unsigned> dist;
-    survivingDistances(topo, dst, link_ok, scratch, dist);
-    return dist;
+    for (auto it = hops.rbegin(); it != hops.rend(); ++it)
+        releaseHop(router_at(it->node), *it, req);
 }
 
 void
 survivingDistances(const Topology &topo, NodeId dst,
                    const std::function<bool(NodeId, PortId)> &link_ok,
-                   SetupScratch &scratch, std::vector<unsigned> &out)
+                   std::vector<NodeId> &queue, std::vector<unsigned> &out)
 {
     constexpr unsigned inf = ~0u;
     // mmr-lint: allow(hot-path-alloc) amortized: sized by the (fixed)
     // topology once, then rewritten in place on every recompute.
     out.assign(topo.numNodes(), inf);
-    std::vector<NodeId> &frontier = scratch.frontier;
-    std::vector<NodeId> &next = scratch.next;
-    frontier.clear();
-    // mmr-lint: allow(hot-path-alloc) amortized: scratch members,
-    // capacity persists across BFS recomputes.
-    frontier.push_back(dst);
     out[dst] = 0;
-    while (!frontier.empty()) {
-        next.clear();
-        for (NodeId n : frontier) {
-            for (const auto &p : topo.ports(n)) {
-                // The link is traversed neighbor -> n here, but
-                // failures take out both directions.
-                if (link_ok && !link_ok(p.neighbor, p.remotePort))
-                    continue;
-                if (out[p.neighbor] == inf) {
-                    out[p.neighbor] = out[n] + 1;
-                    // mmr-lint: allow(hot-path-alloc) amortized:
-                    // scratch member (see above).
-                    next.push_back(p.neighbor);
-                }
+    queue.clear();
+    // mmr-lint: allow(hot-path-alloc) amortized: caller-owned scratch,
+    // capacity persists across BFS recomputes.
+    queue.push_back(dst);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+        const NodeId n = queue[head];
+        for (const auto &p : topo.ports(n)) {
+            // The link is traversed neighbor -> n here, but failures
+            // take out both directions.
+            if (out[p.neighbor] != inf ||
+                (link_ok && !link_ok(p.neighbor, p.remotePort)))
+                continue;
+            out[p.neighbor] = out[n] + 1;
+            // mmr-lint: allow(hot-path-alloc) amortized: see above.
+            queue.push_back(p.neighbor);
+        }
+    }
+}
+
+void
+startSearch(const Topology &topo, NodeId src, EpbProbe &probe,
+            SetupResult &res)
+{
+    probe.at = src;
+    probe.searched.reset(topo);
+    res.accepted = false;
+    res.hops.clear();
+    res.forwardSteps = 0;
+    res.backtrackSteps = 0;
+}
+
+MMR_HOT_PATH EpbStep
+epbStep(const SetupFabric &net, const SetupRequest &req,
+        SetupPolicy policy, Rng &rng, std::vector<PortId> &cands,
+        EpbProbe &probe, SetupResult &res)
+{
+    const NodeId at = probe.at;
+    if (at == req.dst) {
+        // The last hop is the destination's host link.  It is tried
+        // once: if saturated, this is a dead end like any other.
+        const PortId ni = net.niPortOf(at);
+        if (!probe.searched.test(at, ni)) {
+            probe.searched.set(at, ni);
+            VcId vc = kInvalidVc;
+            if (reserveHop(net.routerAt(at), ni, req, vc)) {
+                // mmr-lint: allow(hot-path-alloc) amortized: the
+                // caller-owned result retains hop capacity across
+                // setups (SetupScratch / probe slots).
+                res.hops.push_back(ReservedHop{at, ni, vc});
+                return EpbStep::Reached;
             }
         }
-        frontier.swap(next);
+    } else {
+        // Profitable candidates: minimal-path neighbors over healthy
+        // links not searched yet, in random order.
+        cands.clear();
+        for (const auto &p : net.topo.ports(at)) {
+            if (probe.dist[p.neighbor] + 1 != probe.dist[at])
+                continue;
+            if (probe.searched.test(at, p.localPort))
+                continue;
+            if (net.linkOk && !net.linkOk(at, p.localPort))
+                continue;
+            // mmr-lint: allow(hot-path-alloc) amortized: caller-owned
+            // scratch, capacity persists across steps.
+            cands.push_back(p.localPort);
+        }
+        rng.shuffle(cands);
+        for (PortId out : cands) {
+            probe.searched.set(at, out);
+            VcId vc = kInvalidVc;
+            if (!reserveHop(net.routerAt(at), out, req, vc))
+                continue;
+            // mmr-lint: allow(hot-path-alloc) amortized: see the
+            // destination-hop push above.
+            res.hops.push_back(ReservedHop{at, out, vc});
+            probe.at = net.topo.neighborAt(at, out);
+            ++res.forwardSteps;
+            return EpbStep::Forward;
+        }
     }
+
+    // Dead end: give up (greedy, or backtracked out of the source) or
+    // backtrack one hop.
+    if (policy == SetupPolicy::Greedy || res.hops.empty()) {
+        releasePath(net.routerAt, res.hops, req);
+        res.hops.clear();
+        return EpbStep::Refused;
+    }
+    const ReservedHop hop = res.hops.back();
+    res.hops.pop_back();
+    releaseHop(net.routerAt(hop.node), hop, req);
+    probe.at = hop.node;
+    ++res.backtrackSteps;
+    return EpbStep::Backtrack;
 }
 
 SetupResult
@@ -126,94 +190,28 @@ establishPath(const Topology &topo,
                "setup endpoints out of range");
     mmr_assert(req.src != req.dst, "connection to self");
 
-    res.accepted = false;
-    res.hops.clear();
-    res.forwardSteps = 0;
-    res.backtrackSteps = 0;
-
+    EpbProbe &probe = scratch.probe;
+    startSearch(topo, req.src, probe, res);
     // Minimal-path distances over the *surviving* graph: a link that
     // failed must neither count as a shortcut nor attract probes.
-    survivingDistances(topo, req.dst, link_ok, scratch, scratch.dist);
-    const std::vector<unsigned> &dist = scratch.dist;
-    if (dist[req.src] == ~0u)
+    survivingDistances(topo, req.dst, link_ok, scratch.bfsQueue,
+                       probe.dist);
+    if (probe.dist[req.src] == ~0u)
         return; // destination unreachable on surviving links
 
-    // Probe-local history: which output links have been searched at
-    // each visited node.  (The hardware keeps this per input virtual
-    // channel in the routing unit; the synchronous search keeps it
-    // with the probe, which is semantically equivalent because a probe
-    // occupies exactly one input VC per visited router.)  Bit d of
-    // node n is output d; bit degree(n) is the NI reservation try.
-    scratch.resetSearched(topo.numNodes(), topo.maxDegree());
-
-    NodeId cur = req.src;
+    const SetupFabric net{topo, router_at, ni_port_of, link_ok};
     for (;;) {
-        if (cur == req.dst) {
-            // Reserve the final hop onto the destination host link.
-            const PortId ni = ni_port_of(cur);
-            VcId vc = kInvalidVc;
-            if (reserveHop(router_at(cur), ni, req, vc)) {
-                // mmr-lint: allow(hot-path-alloc) amortized: the
-                // caller-owned result retains hop capacity across
-                // setups (SetupScratch / Network::setupResult).
-                res.hops.push_back(ReservedHop{cur, ni, vc});
-                res.accepted = true;
-                return;
-            }
-            // The host link itself is saturated: nothing to search
-            // here, treat as a dead end and backtrack.
-            scratch.markSearched(cur, ni);
-        }
-
-        if (cur != req.dst) {
-            // Profitable candidates: minimal-path neighbors whose
-            // link has not been searched yet, in random order.
-            std::vector<PortId> &cands = scratch.cands;
-            cands.clear();
-            for (const auto &p : topo.ports(cur)) {
-                if (dist[p.neighbor] + 1 != dist[cur])
-                    continue;
-                if (scratch.searched(cur, p.localPort))
-                    continue;
-                if (link_ok && !link_ok(cur, p.localPort))
-                    continue;
-                // mmr-lint: allow(hot-path-alloc) amortized: scratch
-                // member, capacity persists across searches.
-                cands.push_back(p.localPort);
-            }
-            rng.shuffle(cands);
-
-            bool advanced = false;
-            for (PortId out : cands) {
-                scratch.markSearched(cur, out);
-                VcId vc = kInvalidVc;
-                if (!reserveHop(router_at(cur), out, req, vc))
-                    continue;
-                // mmr-lint: allow(hot-path-alloc) amortized: see the
-                // destination-hop push above.
-                res.hops.push_back(ReservedHop{cur, out, vc});
-                cur = topo.neighborAt(cur, out);
-                ++res.forwardSteps;
-                advanced = true;
-                break;
-            }
-            if (advanced)
-                continue;
-        }
-
-        // Dead end: backtrack (EPB) or give up (greedy).
-        if (policy == SetupPolicy::Greedy || res.hops.empty()) {
-            for (auto it = res.hops.rbegin(); it != res.hops.rend(); ++it)
-                releaseHop(router_at(it->node), *it, req);
-            res.hops.clear();
-            res.accepted = false;
+        switch (epbStep(net, req, policy, rng, scratch.cands, probe,
+                        res)) {
+          case EpbStep::Reached:
+            res.accepted = true;
             return;
+          case EpbStep::Refused:
+            return;
+          case EpbStep::Forward:
+          case EpbStep::Backtrack:
+            break;
         }
-        const ReservedHop hop = res.hops.back();
-        res.hops.pop_back();
-        releaseHop(router_at(hop.node), hop, req);
-        cur = hop.node;
-        ++res.backtrackSteps;
     }
 }
 

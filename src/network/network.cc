@@ -60,16 +60,16 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
     for (NodeId n = 0; n < topo.numNodes(); ++n)
         linkDown[n].assign(topo.degree(n), false);
 
+    routerOf = [this](NodeId n) -> MmrRouter & { return *routers[n]; };
+    niPortOf = [this](NodeId n) { return niPort(n); };
+    linkUp = [this](NodeId n, PortId port) {
+        return directedLinkUp(n, port);
+    };
     probeMgr = std::make_unique<ProbeSetupManager>(
-        topo, [this](NodeId n) -> MmrRouter & { return *routers[n]; },
-        [this](NodeId n) { return niPort(n); },
+        topo, routerOf, niPortOf,
         [this](const TimedSetup &s) { onTimedSetupComplete(s); },
         cfg.seed ^ 0xabcdef12ULL);
-    probeMgr->setHopLatency(
-        std::max(1u, static_cast<unsigned>(cfg.probeHopCycles)));
-    probeMgr->setLinkAlive([this](NodeId n, PortId port) {
-        return directedLinkUp(n, port);
-    });
+    probeMgr->setLinkAlive(linkUp);
 }
 
 bool
@@ -420,16 +420,7 @@ Network::installReservedPath(const SetupRequest &req,
     const PortId src_ni = niPort(req.src);
     const VcId src_vc = routers[req.src]->routing().allocInputVc(src_ni);
     if (src_vc == kInvalidVc) {
-        // Roll the whole reservation back.
-        for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
-            routers[it->node]->routing().freeOutputVc(it->out, it->outVc);
-            if (req.klass == TrafficClass::CBR)
-                routers[it->node]->admission().releaseCbr(
-                    it->out, req.allocCycles);
-            else
-                routers[it->node]->admission().releaseVbr(
-                    it->out, req.permCycles, req.peakCycles);
-        }
+        releasePath(routerOf, hops, req); // roll the reservation back
         return kInvalidConn;
     }
 
@@ -487,18 +478,40 @@ Network::installReservedPath(const SetupRequest &req,
     return id;
 }
 
-Network::SetupOutcome
-Network::finishSetup(const SetupRequest &req, const SetupResult &sr,
-                     double rate_or_mean, double peak_bps, int priority)
+bool
+Network::setupRequest(NodeId src, NodeId dst, TrafficClass klass,
+                      double rate_bps, double peak_bps,
+                      SetupRequest &req) const
 {
-    (void)peak_bps;
+    const double link = cfg.router.linkRateBps;
+    if (!(rate_bps > 0.0 && peak_bps >= rate_bps && peak_bps <= link))
+        return false;
+    const unsigned round = cfg.router.cyclesPerRound();
+    req.src = src;
+    req.dst = dst;
+    req.klass = klass;
+    if (klass == TrafficClass::CBR) {
+        req.allocCycles = cyclesPerRound(rate_bps, link, round);
+    } else {
+        req.permCycles = cyclesPerRound(rate_bps, link, round);
+        req.peakCycles = cyclesPerRound(peak_bps, link, round);
+    }
+    return true;
+}
+
+Network::SetupOutcome
+Network::setupNow(const SetupRequest &req, SetupPolicy policy,
+                  double rate_or_mean, int priority)
+{
+    establishPath(topo, routerOf, niPortOf, req, policy, rand, linkUp,
+                  setupScratch, setupResult);
+    const SetupResult &sr = setupResult;
     SetupOutcome out;
     out.forwardSteps = sr.forwardSteps;
     out.backtrackSteps = sr.backtrackSteps;
     if (!sr.accepted) {
-        out.setupLatencyCycles =
-            cfg.probeHopCycles *
-            static_cast<double>(sr.forwardSteps + sr.backtrackSteps);
+        out.setupLatencyCycles = static_cast<double>(
+            kProbeHopCycles * (sr.forwardSteps + sr.backtrackSteps));
         MMR_OBS_EVENT(TraceCat::Setup, "setup_reject",
                       simclock::now(), req.src, kInvalidConn,
                       static_cast<std::int32_t>(req.dst),
@@ -514,10 +527,9 @@ Network::finishSetup(const SetupRequest &req, const SetupResult &sr,
     out.id = id;
     out.accepted = true;
     out.pathLength = static_cast<unsigned>(sr.hops.size());
-    out.setupLatencyCycles =
-        cfg.probeHopCycles *
-        static_cast<double>(sr.forwardSteps + sr.backtrackSteps +
-                            sr.hops.size());
+    out.setupLatencyCycles = static_cast<double>(
+        kProbeHopCycles *
+        (sr.forwardSteps + sr.backtrackSteps + sr.hops.size()));
     MMR_OBS_EVENT(TraceCat::Setup, "setup_accept", simclock::now(),
                   req.src, id,
                   static_cast<std::int32_t>(req.dst),
@@ -529,14 +541,10 @@ std::uint64_t
 Network::openCbrTimed(NodeId src, NodeId dst, double rate_bps, Cycle now,
                       SetupPolicy policy)
 {
-    mmr_assert(rate_bps > 0.0 && rate_bps <= cfg.router.linkRateBps,
-               "timed setup with an uncarriable rate");
     SetupRequest req;
-    req.src = src;
-    req.dst = dst;
-    req.klass = TrafficClass::CBR;
-    req.allocCycles = cyclesPerRound(rate_bps, cfg.router.linkRateBps,
-                                     cfg.router.cyclesPerRound());
+    const bool carriable = setupRequest(src, dst, TrafficClass::CBR,
+                                        rate_bps, rate_bps, req);
+    mmr_assert(carriable, "timed setup with an uncarriable rate");
     const std::uint64_t token = probeMgr->begin(req, policy, now);
     timedInfo.insert(token, TimedRequestInfo{rate_bps, 0});
     return token;
@@ -547,17 +555,10 @@ Network::openVbrTimed(NodeId src, NodeId dst, double mean_bps,
                       double peak_bps, int priority, Cycle now,
                       SetupPolicy policy)
 {
-    mmr_assert(mean_bps > 0.0 && peak_bps >= mean_bps &&
-                   peak_bps <= cfg.router.linkRateBps,
-               "timed setup with an uncarriable rate");
     SetupRequest req;
-    req.src = src;
-    req.dst = dst;
-    req.klass = TrafficClass::VBR;
-    req.permCycles = cyclesPerRound(mean_bps, cfg.router.linkRateBps,
-                                    cfg.router.cyclesPerRound());
-    req.peakCycles = cyclesPerRound(peak_bps, cfg.router.linkRateBps,
-                                    cfg.router.cyclesPerRound());
+    const bool carriable = setupRequest(src, dst, TrafficClass::VBR,
+                                        mean_bps, peak_bps, req);
+    mmr_assert(carriable, "timed setup with an uncarriable rate");
     const std::uint64_t token = probeMgr->begin(req, policy, now);
     timedInfo.insert(token, TimedRequestInfo{mean_bps, priority});
     return token;
@@ -624,51 +625,22 @@ Network::SetupOutcome
 Network::openCbr(NodeId src, NodeId dst, double rate_bps,
                  SetupPolicy policy)
 {
-    if (rate_bps <= 0.0 || rate_bps > cfg.router.linkRateBps)
-        return SetupOutcome{}; // no link can carry this rate
     SetupRequest req;
-    req.src = src;
-    req.dst = dst;
-    req.klass = TrafficClass::CBR;
-    req.allocCycles = cyclesPerRound(rate_bps, cfg.router.linkRateBps,
-                                     cfg.router.cyclesPerRound());
-    auto router_at = [this](NodeId n) -> MmrRouter & {
-        return *routers[n];
-    };
-    auto ni_of = [this](NodeId n) { return niPort(n); };
-    establishPath(topo, router_at, ni_of, req, policy, rand,
-                  [this](NodeId n, PortId port) {
-                      return directedLinkUp(n, port);
-                  },
-                  setupScratch, setupResult);
-    return finishSetup(req, setupResult, rate_bps, 0.0, 0);
+    if (!setupRequest(src, dst, TrafficClass::CBR, rate_bps, rate_bps,
+                      req))
+        return SetupOutcome{}; // no link can carry this rate
+    return setupNow(req, policy, rate_bps, 0);
 }
 
 Network::SetupOutcome
 Network::openVbr(NodeId src, NodeId dst, double mean_bps,
                  double peak_bps, int priority, SetupPolicy policy)
 {
-    if (mean_bps <= 0.0 || peak_bps < mean_bps ||
-        peak_bps > cfg.router.linkRateBps)
-        return SetupOutcome{};
     SetupRequest req;
-    req.src = src;
-    req.dst = dst;
-    req.klass = TrafficClass::VBR;
-    req.permCycles = cyclesPerRound(mean_bps, cfg.router.linkRateBps,
-                                    cfg.router.cyclesPerRound());
-    req.peakCycles = cyclesPerRound(peak_bps, cfg.router.linkRateBps,
-                                    cfg.router.cyclesPerRound());
-    auto router_at = [this](NodeId n) -> MmrRouter & {
-        return *routers[n];
-    };
-    auto ni_of = [this](NodeId n) { return niPort(n); };
-    establishPath(topo, router_at, ni_of, req, policy, rand,
-                  [this](NodeId n, PortId port) {
-                      return directedLinkUp(n, port);
-                  },
-                  setupScratch, setupResult);
-    return finishSetup(req, setupResult, mean_bps, peak_bps, priority);
+    if (!setupRequest(src, dst, TrafficClass::VBR, mean_bps, peak_bps,
+                      req))
+        return SetupOutcome{};
+    return setupNow(req, policy, mean_bps, priority);
 }
 
 bool

@@ -24,7 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/arena.hh"
 #include "base/flat_map.hh"
 #include "metrics/recorder.hh"
 #include "network/epb.hh"
@@ -44,7 +43,6 @@ struct NetworkConfig
     /** Per-router template; numPorts is overridden per node. */
     RouterConfig router;
     Cycle linkLatency = 1;       ///< flit cycles per inter-router hop
-    double probeHopCycles = 2.0; ///< setup-latency model per probe step
     std::uint64_t seed = 7;
 
     /**
@@ -496,9 +494,18 @@ class Network : public Clocked
     void processArrivals(Cycle now);
     void processPendingCloses();
 
-    SetupOutcome finishSetup(const SetupRequest &req,
-                             const SetupResult &sr, double rate_or_mean,
-                             double peak_bps, int priority);
+    /**
+     * The admission demand of a connection of mean @p rate_bps and
+     * peak @p peak_bps (equal for CBR); false when no link can carry
+     * it.
+     */
+    bool setupRequest(NodeId src, NodeId dst, TrafficClass klass,
+                      double rate_bps, double peak_bps,
+                      SetupRequest &req) const;
+
+    /** Search a path for @p req in zero simulated time and install it. */
+    SetupOutcome setupNow(const SetupRequest &req, SetupPolicy policy,
+                          double rate_or_mean, int priority);
 
     /**
      * Install the per-router segments of a fully reserved path;
@@ -513,6 +520,13 @@ class Network : public Clocked
     Topology topo;
     NetworkConfig cfg;
     Rng rand;
+
+    /** The setup fabric both setup paths search: router access, host
+     * ports and link health, bound once. */
+    std::function<MmrRouter &(NodeId)> routerOf;
+    std::function<PortId(NodeId)> niPortOf;
+    std::function<bool(NodeId, PortId)> linkUp;
+
     std::unique_ptr<UpDownRouting> updownRoutes;
     std::vector<std::unique_ptr<MmrRouter>> routers;
     std::unique_ptr<ProbeSetupManager> probeMgr;

@@ -23,48 +23,6 @@ to_string(SetupState s)
     return "?";
 }
 
-namespace
-{
-
-bool
-reserveHop(MmrRouter &router, PortId out, const SetupRequest &req,
-           VcId &out_vc)
-{
-    AdmissionController &admit = router.admission();
-    bool admitted = false;
-    if (req.klass == TrafficClass::CBR)
-        admitted = admit.tryAdmitCbr(out, req.allocCycles);
-    else if (req.klass == TrafficClass::VBR)
-        admitted = admit.tryAdmitVbr(out, req.permCycles, req.peakCycles);
-    else
-        mmr_panic("probes establish CBR/VBR connections only");
-    if (!admitted)
-        return false;
-    out_vc = router.routing().allocOutputVc(out);
-    if (out_vc == kInvalidVc) {
-        if (req.klass == TrafficClass::CBR)
-            admit.releaseCbr(out, req.allocCycles);
-        else
-            admit.releaseVbr(out, req.permCycles, req.peakCycles);
-        return false;
-    }
-    return true;
-}
-
-void
-releaseHop(MmrRouter &router, const ReservedHop &hop,
-           const SetupRequest &req)
-{
-    router.routing().freeOutputVc(hop.out, hop.outVc);
-    if (req.klass == TrafficClass::CBR)
-        router.admission().releaseCbr(hop.out, req.allocCycles);
-    else
-        router.admission().releaseVbr(hop.out, req.permCycles,
-                                      req.peakCycles);
-}
-
-} // namespace
-
 ProbeSetupManager::ProbeSetupManager(const Topology &topo_,
                                      RouterAccess router_at,
                                      NiPortOf ni_port_of,
@@ -72,40 +30,18 @@ ProbeSetupManager::ProbeSetupManager(const Topology &topo_,
                                      std::uint64_t seed)
     : topo(topo_), routerAt(std::move(router_at)),
       niPortOf(std::move(ni_port_of)), onComplete(std::move(on_complete)),
-      rng(seed),
-      searchedWordsPerNode((topo_.maxDegree() + 1 + 63) / 64),
-      distCache(topo_.numNodes()), distCacheEpoch(topo_.numNodes(), 0)
+      rng(seed), distCache(topo_.numNodes()),
+      distCacheEpoch(topo_.numNodes(), 0)
 {
     mmr_assert(routerAt && niPortOf && onComplete,
                "probe manager needs router access and a callback");
-}
-
-bool
-ProbeSetupManager::searched(const Probe &p, NodeId n,
-                            std::size_t bit) const
-{
-    const std::size_t w = n * searchedWordsPerNode + bit / 64;
-    return (p.searchedWords[w] >> (bit % 64)) & 1u;
-}
-
-void
-ProbeSetupManager::markSearched(Probe &p, NodeId n, std::size_t bit)
-{
-    const std::size_t w = n * searchedWordsPerNode + bit / 64;
-    p.searchedWords[w] |= std::uint64_t{1} << (bit % 64);
-}
-
-bool
-ProbeSetupManager::linkUsable(NodeId n, PortId port) const
-{
-    return !linkAlive || linkAlive(n, port);
 }
 
 const std::vector<unsigned> &
 ProbeSetupManager::distancesTo(NodeId dst)
 {
     if (distCacheEpoch[dst] != linkEpoch) {
-        survivingDistances(topo, dst, linkAlive, scratch,
+        survivingDistances(topo, dst, linkAlive, bfsQueue,
                            distCache[dst]);
         distCacheEpoch[dst] = linkEpoch;
     }
@@ -122,8 +58,8 @@ ProbeSetupManager::reservePools(std::size_t n)
     while (slots.size() < n) {
         slots.emplace_back();
         Probe &p = slots.back();
-        p.searchedWords.assign(numNodes * searchedWordsPerNode, 0);
-        p.distToDst.reserve(numNodes);
+        p.search.searched.reset(topo);
+        p.search.dist.reserve(numNodes);
         p.setup.hops.reserve(hopCap);
     }
     // Rebuild the free list only when the pool is idle (construction
@@ -158,25 +94,21 @@ ProbeSetupManager::begin(const SetupRequest &req, SetupPolicy policy,
         slots.emplace_back();
     }
     Probe &p = slots[idx];
+    startSearch(topo, req.src, p.search, p.setup);
     p.setup.token = nextToken++;
     p.setup.state = SetupState::Probing;
     p.setup.request = req;
     p.setup.policy = policy;
-    p.setup.hops.clear();
-    p.setup.forwardSteps = 0;
-    p.setup.backtrackSteps = 0;
     p.setup.startedAt = now;
     p.setup.finishedAt = 0;
     p.setup.timedOut = false;
-    p.at = req.src;
     p.nextAction = now; // first hop attempt happens this cycle
     p.deadline = timeoutCycles ? now + timeoutCycles : 0;
     p.lost = false;
     p.ackIndex = 0;
-    p.searchedWords.assign(topo.numNodes() * searchedWordsPerNode, 0);
     // Snapshot the surviving distances as of launch; faults that land
     // mid-flight do not retarget a probe (same as the uncached BFS).
-    p.distToDst = distancesTo(req.dst);
+    p.search.dist = distancesTo(req.dst);
     order.push_back(idx);
     return p.setup.token;
 }
@@ -185,8 +117,7 @@ void
 ProbeSetupManager::timeoutProbe(Probe &p, Cycle now)
 {
     TimedSetup &s = p.setup;
-    for (auto it = s.hops.rbegin(); it != s.hops.rend(); ++it)
-        releaseHop(routerAt(it->node), *it, s.request);
+    releasePath(routerAt, s.hops, s.request);
     s.hops.clear();
     s.state = SetupState::Refused;
     s.timedOut = true;
@@ -222,7 +153,6 @@ bool
 ProbeSetupManager::advanceProbe(Probe &p, Cycle now)
 {
     TimedSetup &s = p.setup;
-    const SetupRequest &req = s.request;
 
     // Fault injection: this action's message (probe hop, backtrack or
     // ack hop) is lost on the wire.  The probe goes inert; its hop
@@ -236,87 +166,37 @@ ProbeSetupManager::advanceProbe(Probe &p, Cycle now)
         return false;
     }
 
+    p.nextAction = now + kProbeHopCycles;
     if (s.state == SetupState::Returning) {
         // The acknowledgment retraces the path toward the source via
         // the reverse channel mappings, one hop per action.
         if (p.ackIndex == 0) {
             s.state = SetupState::Established;
+            s.accepted = true;
             s.finishedAt = now;
             onComplete(s);
             return true;
         }
         --p.ackIndex;
-        p.nextAction = now + hopLatency;
         return false;
     }
 
-    // --- Probing ---------------------------------------------------
-    if (p.at == req.dst) {
-        const PortId ni = niPortOf(p.at);
-        if (!searched(p, p.at, ni)) {
-            markSearched(p, p.at, ni);
-            VcId vc = kInvalidVc;
-            if (reserveHop(routerAt(p.at), ni, req, vc)) {
-                // mmr-lint: allow(hot-path-alloc) amortized: hop
-                // vectors keep capacity across probe slot reuse.
-                s.hops.push_back(ReservedHop{p.at, ni, vc});
-                // Ack walks back over every reserved hop.
-                s.state = SetupState::Returning;
-                p.ackIndex = s.hops.size();
-                p.nextAction = now + hopLatency;
-                return false;
-            }
-        }
-        // Destination host link saturated: dead end, fall through to
-        // the backtrack logic below.
-    } else {
-        // Profitable, unsearched, healthy links in random order.
-        // Built in the same order as before so the shuffle (and every
-        // RNG draw after it) is unchanged.
-        std::vector<PortId> &cands = scratch.cands;
-        cands.clear();
-        for (const auto &port : topo.ports(p.at)) {
-            if (p.distToDst[port.neighbor] + 1 != p.distToDst[p.at])
-                continue;
-            if (searched(p, p.at, port.localPort))
-                continue;
-            if (!linkUsable(p.at, port.localPort))
-                continue;
-            // mmr-lint: allow(hot-path-alloc) amortized: scratch
-            // member, capacity persists across actions.
-            cands.push_back(port.localPort);
-        }
-        rng.shuffle(cands);
-        for (PortId out : cands) {
-            markSearched(p, p.at, out);
-            VcId vc = kInvalidVc;
-            if (!reserveHop(routerAt(p.at), out, req, vc))
-                continue;
-            // mmr-lint: allow(hot-path-alloc) amortized: see above.
-            s.hops.push_back(ReservedHop{p.at, out, vc});
-            p.at = topo.neighborAt(p.at, out);
-            ++s.forwardSteps;
-            p.nextAction = now + hopLatency;
-            return false;
-        }
-    }
-
-    // Dead end: give up (greedy / exhausted source) or backtrack.
-    if (s.policy == SetupPolicy::Greedy || s.hops.empty()) {
-        for (auto it = s.hops.rbegin(); it != s.hops.rend(); ++it)
-            releaseHop(routerAt(it->node), *it, req);
-        s.hops.clear();
+    const SetupFabric net{topo, routerAt, niPortOf, linkAlive};
+    switch (epbStep(net, s.request, s.policy, rng, cands, p.search, s)) {
+      case EpbStep::Reached:
+        // The ack walks back over every reserved hop.
+        s.state = SetupState::Returning;
+        p.ackIndex = s.hops.size();
+        return false;
+      case EpbStep::Refused:
         s.state = SetupState::Refused;
         s.finishedAt = now;
         onComplete(s);
         return true;
+      case EpbStep::Forward:
+      case EpbStep::Backtrack:
+        break;
     }
-    const ReservedHop hop = s.hops.back();
-    s.hops.pop_back();
-    releaseHop(routerAt(hop.node), hop, req);
-    p.at = hop.node;
-    ++s.backtrackSteps;
-    p.nextAction = now + hopLatency;
     return false;
 }
 

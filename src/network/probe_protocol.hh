@@ -2,8 +2,8 @@
  * @file
  * Timed PCS connection establishment (§3.4, §3.5).
  *
- * The algorithmic establishPath() reserves a whole path in zero
- * simulated time; this module implements the *distributed* protocol
+ * establishPath() reserves a whole path in zero simulated time; this
+ * module implements the *distributed* protocol
  * the paper describes: a routing probe travels hop by hop, reserving
  * link bandwidth and an output virtual channel at every router it
  * passes, backtracking (and releasing) when it hits a dead end, and —
@@ -13,6 +13,12 @@
  * handled during switch reconfiguration cycles (§3.4), so each hop
  * costs a small fixed number of flit cycles rather than a full
  * scheduling round trip.
+ *
+ * Each probe action is one epbStep() (epb.hh), the same search step
+ * the instantaneous establishPath() loops, so on a quiet network both
+ * paths reserve the same hops in the same order.  This module adds
+ * what only the timed protocol has: one action per kProbeHopCycles,
+ * the acknowledgment walk, message loss and the source timer.
  *
  * Because resources are reserved and released *as the probe moves*,
  * concurrent setups contend realistically: two probes racing for the
@@ -27,8 +33,6 @@
 #include <functional>
 #include <vector>
 
-#include "base/arena.hh"
-#include "base/bitvector.hh"
 #include "base/rng.hh"
 #include "network/epb.hh"
 #include "network/topology.hh"
@@ -47,16 +51,14 @@ enum class SetupState
 
 std::string to_string(SetupState s);
 
-/** Handle + result of a timed setup. */
-struct TimedSetup
+/** Handle + result of a timed setup: the search's hops (reserved so
+ * far / final path) and step counts, accepted once Established. */
+struct TimedSetup : SetupResult
 {
     std::uint64_t token = 0;
     SetupState state = SetupState::Probing;
     SetupRequest request;
     SetupPolicy policy = SetupPolicy::Epb;
-    std::vector<ReservedHop> hops; ///< reserved so far / final path
-    unsigned forwardSteps = 0;
-    unsigned backtrackSteps = 0;
     Cycle startedAt = 0;
     Cycle finishedAt = 0; ///< valid once Established/Refused
     /** Refused because the source's setup timer expired (the probe or
@@ -89,9 +91,6 @@ class ProbeSetupManager
     ProbeSetupManager(const Topology &topo, RouterAccess router_at,
                       NiPortOf ni_port_of, CompletionFn on_complete,
                       std::uint64_t seed);
-
-    /** Per-hop latency of probe/backtrack/ack messages (flit cycles). */
-    void setHopLatency(Cycle cycles) { hopLatency = cycles; }
 
     /** Optional link-health filter (fault injection).  Drops the
      * distance cache: the new filter may answer differently. */
@@ -173,29 +172,16 @@ class ProbeSetupManager
     struct Probe
     {
         TimedSetup setup;
-        NodeId at = kInvalidNode;
+        EpbProbe search;
         Cycle nextAction = 0;
         /** Source-timer expiry (0 = no timer). */
         Cycle deadline = 0;
         /** The next protocol message was lost; the probe is inert
          * until the source timer reclaims it. */
         bool lost = false;
-        /** Output links already searched, per visited node (the
-         * per-input-VC history store of §3.5, carried with the probe
-         * in this synchronous-model implementation).  A flat table —
-         * node n's bits at [n * searchedWordsPerNode, ...), bit d =
-         * output d, bit degree(n) = the destination-NI try — indexed
-         * directly instead of hashed, so marking is two shifts and
-         * the per-search footprint is cleared, not reallocated. */
-        std::vector<std::uint64_t> searchedWords;
-        std::vector<unsigned> distToDst;
         /** Ack position while Returning (index into hops). */
         std::size_t ackIndex = 0;
     };
-
-    bool searched(const Probe &p, NodeId n, std::size_t bit) const;
-    void markSearched(Probe &p, NodeId n, std::size_t bit);
-    bool linkUsable(NodeId n, PortId port) const;
 
     /** Cached surviving-distance table for @p dst at the current
      * linkEpoch (recomputed lazily after invalidateDistances). */
@@ -215,7 +201,6 @@ class ProbeSetupManager
     LinkAlive linkAlive; ///< empty = all links healthy
     MessageLoss messageLoss; ///< empty = lossless control channel
     Rng rng;
-    Cycle hopLatency = 2;
     Cycle timeoutCycles = 0;
     std::uint64_t nextToken = 1;
     std::uint64_t statMessagesLost = 0;
@@ -229,18 +214,15 @@ class ProbeSetupManager
     std::vector<std::uint32_t> freeSlots;
     std::vector<std::uint32_t> order;
 
-    /** Words per node of the flat searched tables (degree+1 bits,
-     * max over nodes, fixed per topology). */
-    std::size_t searchedWordsPerNode = 1;
-
     /** Per-destination surviving-distance cache (linkEpoch-stamped;
      * epoch 0 = never computed). */
     std::vector<std::vector<unsigned>> distCache;
     std::vector<std::uint64_t> distCacheEpoch;
     std::uint64_t linkEpoch = 1;
 
-    /** Shared per-action scratch (candidate lists, BFS frontiers). */
-    SetupScratch scratch;
+    /** Shared per-action scratch: the BFS queue and candidate list. */
+    std::vector<NodeId> bfsQueue;
+    std::vector<PortId> cands;
 };
 
 } // namespace mmr

@@ -42,6 +42,17 @@ ChurnEngine::ChurnEngine(Network &network, const ChurnConfig &config,
 {
     mmr_assert(cfg.maxLiveSessions > 0,
                "churn needs room for at least one live session");
+    // A rate class no link can carry is a bad mix (user input), not
+    // an internal error: reject it before an arrival draws it.
+    for (const MixEntry &e : gen.mix()) {
+        const double top =
+            e.vbr ? e.rateBps * cfg.workload.peakToMean : e.rateBps;
+        if (!(e.rateBps > 0.0 && top >= e.rateBps && top <= linkRateBps))
+            mmr_fatal("session mix entry ", e.vbr ? "vbr:" : "",
+                      e.rateBps, " b/s (peak ", top,
+                      " b/s) does not fit a ", linkRateBps,
+                      " b/s link with peak >= mean");
+    }
     // Pending setups must always resolve, or drain never finishes:
     // arm the probe timeout unless recovery (or the caller) already
     // configured one.

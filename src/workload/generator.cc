@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
+#include "base/cli.hh"
 #include "base/logging.hh"
 #include "traffic/rates.hh"
 
@@ -34,49 +34,36 @@ splitKeyValues(const std::string &spec, const char *what)
     return out;
 }
 
-double
-parseNumber(const std::string &s, const char *what)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str())
-        mmr_fatal("bad number '", s, "' in ", what, " spec");
-    return v;
-}
-
 } // namespace
 
 double
 parseRateBps(const std::string &token)
 {
-    mmr_assert(!token.empty(), "empty rate token");
-    char *end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || v <= 0.0)
-        mmr_fatal("bad rate '", token, "'");
     double scale = 1.0;
-    if (*end != '\0') {
-        switch (*end) {
-          case 'k':
-          case 'K':
-            scale = kKbps;
-            break;
-          case 'm':
-          case 'M':
-            scale = kMbps;
-            break;
-          case 'g':
-          case 'G':
-            scale = kGbps;
-            break;
-          default:
-            mmr_fatal("bad rate suffix in '", token,
-                      "' (use k/m/g or plain bits/s)");
-        }
-        if (*(end + 1) != '\0')
-            mmr_fatal("trailing junk in rate '", token, "'");
+    switch (token.empty() ? '\0' : token.back()) {
+      case 'k':
+      case 'K':
+        scale = kKbps;
+        break;
+      case 'm':
+      case 'M':
+        scale = kMbps;
+        break;
+      case 'g':
+      case 'G':
+        scale = kGbps;
+        break;
+      default:
+        break;
     }
-    return v * scale;
+    const std::string number =
+        scale == 1.0 ? token : token.substr(0, token.size() - 1);
+    const double v =
+        parseFinite(number, "rate '" + token + "' (use k/m/g or bits/s)") *
+        scale;
+    if (!(v > 0.0) || !std::isfinite(v))
+        mmr_fatal("rate '", token, "' must be positive and finite");
+    return v;
 }
 
 const std::vector<MixEntry> &
@@ -98,6 +85,7 @@ std::vector<MixEntry>
 parseSessionMix(const std::string &spec)
 {
     std::vector<MixEntry> mix;
+    double total = 0.0;
     for (auto &[key, value] : splitKeyValues(spec, "mix")) {
         MixEntry e;
         std::string rate = key;
@@ -106,13 +94,16 @@ parseSessionMix(const std::string &spec)
             rate = rate.substr(4);
         }
         e.rateBps = parseRateBps(rate);
-        e.weight = parseNumber(value, "mix weight");
+        e.weight = parseFinite(value, "mix weight of '" + key + "'");
         if (e.weight <= 0.0)
             mmr_fatal("mix weight for '", key, "' must be positive");
+        total += e.weight;
         mix.push_back(e);
     }
     if (mix.empty())
         mmr_fatal("empty mix spec");
+    if (!std::isfinite(total))
+        mmr_fatal("mix weights in '", spec, "' sum to infinity");
     return mix;
 }
 
@@ -121,20 +112,22 @@ parseFlashCrowd(const std::string &spec)
 {
     FlashCrowd f;
     for (auto &[key, value] : splitKeyValues(spec, "flash-crowd")) {
+        const std::string what = "flash-crowd " + key;
         if (key == "at")
-            f.at = static_cast<Cycle>(parseNumber(value, key.c_str()));
+            f.at = parseCycles(value, what);
         else if (key == "ramp")
-            f.rampCycles =
-                static_cast<Cycle>(parseNumber(value, key.c_str()));
+            f.rampCycles = parseCycles(value, what);
         else if (key == "hold")
-            f.holdCycles =
-                static_cast<Cycle>(parseNumber(value, key.c_str()));
+            f.holdCycles = parseCycles(value, what);
         else if (key == "peak")
-            f.peakFactor = parseNumber(value, key.c_str());
+            f.peakFactor = parseFinite(value, what);
         else
             mmr_fatal("unknown flash-crowd key '", key,
                       "' (at/ramp/hold/peak)");
     }
+    if (f.peakFactor < 1.0)
+        mmr_fatal("flash-crowd peak must be >= 1 (a multiple of the "
+                  "base rate), got ", f.peakFactor);
     return f;
 }
 
@@ -144,13 +137,14 @@ parseDiurnal(const std::string &spec)
     DiurnalCurve d;
     for (auto &[key, value] : splitKeyValues(spec, "diurnal")) {
         if (key == "period")
-            d.period =
-                static_cast<Cycle>(parseNumber(value, key.c_str()));
+            d.period = parseCycles(value, "diurnal period");
         else if (key == "amp")
-            d.amplitude = parseNumber(value, key.c_str());
+            d.amplitude = parseFinite(value, "diurnal amp");
         else
             mmr_fatal("unknown diurnal key '", key, "' (period/amp)");
     }
+    if (d.amplitude < 0.0 || d.amplitude >= 1.0)
+        mmr_fatal("diurnal amp must be in [0, 1), got ", d.amplitude);
     return d;
 }
 

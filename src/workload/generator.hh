@@ -66,19 +66,20 @@ const std::vector<MixEntry> &defaultSessionMix();
 
 /**
  * Parse "64k=2,1.54m=1,vbr:5m=1" into mix entries: RATE=WEIGHT pairs,
- * rates with k/m/g suffixes, "vbr:" prefix flags a VBR class.  Panics
- * on malformed specs.
+ * rates with k/m/g suffixes, "vbr:" prefix flags a VBR class.  Every
+ * spec parser here rejects malformed input with mmr_fatal.
  */
 std::vector<MixEntry> parseSessionMix(const std::string &spec);
 
-/** Parse "64k" / "1.54m" / "2g" / "250000" into bits per second. */
+/** Parse "64k" / "1.54m" / "2g" / "250000" into (positive, finite)
+ * bits per second. */
 double parseRateBps(const std::string &token);
 
 /** Parse "at=10000,ramp=2000,hold=4000,peak=3" (missing keys keep
- * defaults; panics on unknown keys). */
+ * defaults; peak >= 1). */
 FlashCrowd parseFlashCrowd(const std::string &spec);
 
-/** Parse "period=20000,amp=0.5". */
+/** Parse "period=20000,amp=0.5" (amp in [0, 1)). */
 DiurnalCurve parseDiurnal(const std::string &spec);
 
 class SessionGenerator

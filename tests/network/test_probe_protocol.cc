@@ -24,7 +24,6 @@ smallCfg()
     NetworkConfig cfg;
     cfg.router.vcsPerPort = 16;
     cfg.router.candidates = 4;
-    cfg.probeHopCycles = 2.0;
     cfg.seed = 17;
     return cfg;
 }
