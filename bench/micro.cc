@@ -113,7 +113,7 @@ void
 BM_AutonetMatching(benchmark::State &state)
 {
     const unsigned ports = 8;
-    AutonetScheduler sched(ports, 3);
+    AutonetScheduler sched(ports);
     PortMasks masks(ports);
     Rng rng(5);
     std::vector<std::vector<Candidate>> per(ports);

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <functional>
 
+#include "base/fnv1a.hh"
 #include "base/logging.hh"
 #include "base/simclock.hh"
 #include "metrics/steady_state.hh"
@@ -34,7 +34,6 @@ SingleRouterExperiment::SingleRouterExperiment(const ExperimentConfig &c)
 
     recorder.setQosBudget(TrafficClass::CBR, cfg.cbrDelayBudget);
     recorder.setQosBudget(TrafficClass::VBR, cfg.vbrDelayBudget);
-    recorder.setQosBudget(TrafficClass::BestEffort, cfg.beDelayBudget);
 
     // Frame-deadline accounting for VBR flits: the injection path
     // stamps each flit with its frame's deadline (Flit::arg); a flit
@@ -583,36 +582,6 @@ runSingleRouter(const ExperimentConfig &cfg)
 
 namespace
 {
-
-/** FNV-1a, folded field by field so every statistic participates. */
-class Fnv1a
-{
-  public:
-    void addU64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            hash ^= (v >> (8 * i)) & 0xff;
-            hash *= 0x100000001b3ULL;
-        }
-    }
-
-    void
-    addDouble(double v)
-    {
-        // Canonicalize: -0.0 == 0.0 but their bit patterns differ.
-        if (v == 0.0)
-            v = 0.0;
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
-        addU64(bits);
-    }
-
-    std::uint64_t value() const { return hash; }
-
-  private:
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-};
 
 void
 digestHistogram(Fnv1a &h, const LatencyHistogram &hist)

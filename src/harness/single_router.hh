@@ -83,14 +83,14 @@ struct ExperimentConfig
     ObsConfig obs;
 
     /**
-     * Per-class switch-delay budgets in flit cycles (0 = no deadline
-     * accounting for that class).  A measured flit whose delay
+     * Per-class switch-delay budgets of the stream classes in flit
+     * cycles (0 = no deadline accounting for that class; best-effort
+     * traffic never has one).  A measured flit whose delay
      * exceeds its class budget counts as a QoS violation (§4.3's
      * deadline argument made measurable).
      */
     Cycle cbrDelayBudget = 0;
     Cycle vbrDelayBudget = 0;
-    Cycle beDelayBudget = 0;
 
     /** Deliberately trip an invariant at this cycle (0 = never).
      * Exercises the flight recorder's crash dump end to end; used by

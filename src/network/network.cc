@@ -18,7 +18,7 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
 {
     // Contiguous-id shard partition (computed before wiring: the
     // router callbacks capture their owning shard).  Contiguity is
-    // what makes the mailbox drain order equal the serial loop order.
+    // what makes the mailbox drain order ascending router id.
     const unsigned nodes = topo.numNodes();
     numShards = std::max(1u, std::min(cfg.shards, nodes));
     shardStart.resize(numShards + 1);
@@ -35,17 +35,15 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
         for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
             shardOf[n] = s;
     mailboxes = std::vector<ShardMailbox>(numShards);
-    if (numShards > 1) {
-        pool = std::make_unique<ShardPool>(numShards);
-        evalPhase = [this](unsigned s) {
-            for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
-                routers[n]->evaluate(phaseCycle);
-        };
-        advPhase = [this](unsigned s) {
-            for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
-                routers[n]->advance(phaseCycle);
-        };
-    }
+    pool = std::make_unique<ShardPool>(numShards);
+    evalPhase = [this](unsigned s) {
+        for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
+            routers[n]->evaluate(phaseCycle);
+    };
+    advPhase = [this](unsigned s) {
+        for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
+            routers[n]->advance(phaseCycle);
+    };
 
     routers.reserve(topo.numNodes());
     for (NodeId n = 0; n < topo.numNodes(); ++n) {
@@ -230,41 +228,26 @@ Network::routerAt(NodeId n)
 void
 Network::wireRouter(NodeId n)
 {
-    // During a parallel phase (deferring == true) every callback
-    // becomes a mailbox record on the emitting router's shard instead
-    // of being applied inline: the inline bodies touch other routers
-    // (credit upstream, link queues, end-to-end stats), which a
-    // worker thread must not do.  The coordinator replays the logs
-    // after the barrier in shard order, which for a contiguous-id
-    // partition is exactly the serial loop's ascending-router order.
+    // Every callback becomes a mailbox record on the emitting router's
+    // shard instead of being applied inline: the handlers touch other
+    // routers (credit upstream, link queues, end-to-end stats), which
+    // a worker thread must not do.  The coordinator replays the logs
+    // after the phase barrier in shard order, which for a
+    // contiguous-id partition is the ascending-router order.  The
+    // callbacks that log fire only inside a phase: sink and credit
+    // return come from router evaluate/advance, and the one
+    // out-of-phase segment removal (processPendingCloses) removes PCS
+    // segments, which return below before logging anything.
     const unsigned shard = shardOf[n];
     routers[n]->setSink(
-        [this, n, shard](PortId out, VcId out_vc, const Flit &f,
-                         Cycle now) {
-            if (deferring) {
-                DeferredEvent e;
-                e.kind = DeferredEvent::Kind::Egress;
-                e.node = n;
-                e.port = out;
-                e.vc = out_vc;
-                e.flit = f;
-                mailboxes[shard].log.push_back(e);
-                return;
-            }
-            handleEgress(n, out, out_vc, f, now);
+        [this, n, shard](PortId out, VcId out_vc, const Flit &f, Cycle) {
+            mailboxes[shard].log.push_back(
+                {DeferredEvent::Kind::Egress, n, out, out_vc, f, {}});
         });
     routers[n]->setCreditReturn(
-        [this, n, shard](PortId in, VcId vc, Cycle now) {
-            if (deferring) {
-                DeferredEvent e;
-                e.kind = DeferredEvent::Kind::Credit;
-                e.node = n;
-                e.port = in;
-                e.vc = vc;
-                mailboxes[shard].log.push_back(e);
-                return;
-            }
-            handleCreditReturn(n, in, vc, now);
+        [this, n, shard](PortId in, VcId vc, Cycle) {
+            mailboxes[shard].log.push_back(
+                {DeferredEvent::Kind::Credit, n, in, vc, {}, {}});
         });
     routers[n]->setSegmentRemoved(
         [this, n, shard](const SegmentParams &seg) {
@@ -277,17 +260,8 @@ Network::wireRouter(NodeId n)
             // buffer is still occupied).
             if (!seg.releaseWhenEmpty || seg.in >= topo.degree(n))
                 return;
-            if (deferring) {
-                DeferredEvent e;
-                e.kind = DeferredEvent::Kind::SegRemoved;
-                e.node = n;
-                e.port = seg.in;
-                e.vc = seg.inVc;
-                e.seg = seg;
-                mailboxes[shard].log.push_back(e);
-                return;
-            }
-            handleSegmentRemoved(n, seg);
+            mailboxes[shard].log.push_back({DeferredEvent::Kind::SegRemoved,
+                                            n, seg.in, seg.inVc, {}, seg});
         });
 }
 
@@ -332,7 +306,7 @@ Network::handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
     mmr_assert(out < ports.size(), "egress on unknown port");
     const auto &link = ports[out];
     LinkFlit lf{link.neighbor, link.remotePort, out_vc, f,
-                now + cfg.linkLatency};
+                now + kLinkLatency};
     // Fault injection: damage the payload on the wire.  The flit still
     // occupies the link; the downstream CRC check discards it.
     if (corruptHook && corruptHook(n, out, f))
@@ -1020,7 +994,7 @@ Network::processArrivals(Cycle now)
         f.readyTime = now;
         // Wire time of this hop (latency plus any cycles spent parked
         // behind same-cycle arrivals): the LinkTransit latency stage.
-        e2e.recordLinkTransit(cfg.linkLatency + (now - lf.arriveAt),
+        e2e.recordLinkTransit(kLinkLatency + (now - lf.arriveAt),
                               now);
         if (f.isStream()) {
             if (!routers[lf.toNode]->injectRaw(lf.toPort, lf.vc, f))
@@ -1062,35 +1036,28 @@ Network::evaluate(Cycle now)
 {
     // Serial prologue on the coordinator: the probe protocol, link
     // arrivals, and pending closes all run before any router
-    // evaluates (in the serial path they always did), so routers
-    // never observe partial prologue state from a worker thread.
+    // evaluates, so routers never observe partial prologue state
+    // from a worker thread.
     probeMgr->step(now);
     processArrivals(now);
     processPendingCloses();
-    if (numShards <= 1) {
-        for (auto &r : routers)
-            r->evaluate(now);
-        return;
-    }
-    phaseCycle = now;
-    deferring = true;
-    pool->runPhase(now, evalPhase);
-    deferring = false;
-    drainMailboxes(now);
+    runPhase(now, evalPhase);
 }
 
 void
 Network::advance(Cycle now)
 {
-    if (numShards <= 1) {
-        for (auto &r : routers)
-            r->advance(now);
-        return;
-    }
+    runPhase(now, advPhase);
+}
+
+void
+Network::runPhase(Cycle now, const std::function<void(unsigned)> &phase)
+{
+    for (const ShardMailbox &box : mailboxes)
+        mmr_assert(box.log.empty(), "router callback logged outside a "
+                                    "phase");
     phaseCycle = now;
-    deferring = true;
-    pool->runPhase(now, advPhase);
-    deferring = false;
+    pool->runPhase(now, phase);
     drainMailboxes(now);
 }
 
@@ -1101,9 +1068,9 @@ Network::drainMailboxes(Cycle now)
     // (emission) order.  With contiguous-id partitions this replays
     // every deferred side effect — link-queue pushes, corrupt-hook
     // RNG draws, upstream credit returns, end-to-end FP accumulation —
-    // in exactly the order the serial loop produced them, which is
-    // what keeps networkResultDigest bit-identical across shard
-    // counts (DESIGN.md §12).
+    // in ascending router id whatever the shard count, which is what
+    // keeps networkResultDigest bit-identical across shard counts
+    // (DESIGN.md §12).
     for (unsigned s = 0; s < numShards; ++s) {
         auto &log = mailboxes[s].log;
         for (const DeferredEvent &e : log) {

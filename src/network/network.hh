@@ -38,11 +38,13 @@ namespace mmr
 
 class ShardPool;
 
+/** Flit cycles per inter-router hop. */
+constexpr Cycle kLinkLatency = 1;
+
 struct NetworkConfig
 {
     /** Per-router template; numPorts is overridden per node. */
     RouterConfig router;
-    Cycle linkLatency = 1;       ///< flit cycles per inter-router hop
     std::uint64_t seed = 7;
 
     /**
@@ -50,8 +52,8 @@ struct NetworkConfig
      * contiguous-id shards, each evaluated/advanced on its own worker
      * thread with cross-shard traffic deferred through per-shard
      * mailboxes (drained in shard order, so results are bit-identical
-     * to shards=1).  Clamped to the node count; 0 or 1 selects the
-     * serial path.
+     * to shards=1).  Clamped to the node count; 0 or 1 runs the one
+     * shard on the calling thread.
      */
     unsigned shards = 1;
 };
@@ -427,16 +429,16 @@ class Network : public Clocked
     // ------------------------------------------------------------------
 
     /**
-     * One router callback captured during a parallel phase instead of
-     * being applied inline.  A worker only ever touches its own
+     * One router callback captured during a phase instead of being
+     * applied inline.  A worker only ever touches its own
      * shard's routers plus its own shard's mailbox; every cross-shard
      * (and cross-router) side effect — link egress, upstream credit
      * return, upstream VC release on segment removal — becomes one of
      * these records, replayed by the coordinator after the phase
      * barrier in ascending shard order.  Within a shard the log is
-     * append-ordered, so the replay order equals the ascending-
-     * router-id emission order of the serial loop and the results are
-     * bit-identical (see DESIGN.md §12 for the full argument).
+     * append-ordered, so the replay order is ascending router id at
+     * every shard count and the results are bit-identical (see
+     * DESIGN.md §12 for the full argument).
      */
     struct DeferredEvent
     {
@@ -463,6 +465,10 @@ class Network : public Clocked
         std::vector<DeferredEvent> log;
     };
 
+    /** Run @p phase on every shard, then drain the mailboxes. */
+    MMR_HOT_PATH void runPhase(Cycle now,
+                               const std::function<void(unsigned)> &phase);
+
     /** Replay every mailbox in (shard, emission) order, then clear. */
     MMR_HOT_PATH void drainMailboxes(Cycle now);
 
@@ -471,12 +477,6 @@ class Network : public Clocked
     std::vector<unsigned> shardOf;  ///< node id -> shard id
     std::vector<ShardMailbox> mailboxes;
     std::unique_ptr<ShardPool> pool;
-
-    /** True only while routers run under the pool: router callbacks
-     * append to mailboxes instead of applying inline.  Written by the
-     * coordinator before/after each phase; workers read it under the
-     * pool's release/acquire barrier. */
-    bool deferring = false;
 
     /** Pre-bound phase callbacks (no per-cycle allocation). */
     std::function<void(unsigned)> evalPhase;

@@ -74,8 +74,6 @@ RouterConfig::validate() const
         mmr_fatal("linkRateBps must be positive");
     if (flitBits == 0 || flitBits % 8 != 0)
         mmr_fatal("flitBits must be a positive multiple of 8");
-    if (phitBits == 0 || flitBits % phitBits != 0)
-        mmr_fatal("flitBits must be a multiple of phitBits");
     if (vcBufferFlits == 0)
         mmr_fatal("vcBufferFlits must be positive");
     if (roundFactorK < 1)
@@ -86,8 +84,6 @@ RouterConfig::validate() const
         mmr_fatal("concurrencyFactor must be >= 1");
     if (bestEffortReserve < 0.0 || bestEffortReserve >= 1.0)
         mmr_fatal("bestEffortReserve must be in [0, 1)");
-    if (memBanks == 0)
-        mmr_fatal("memBanks must be positive");
 }
 
 } // namespace mmr

@@ -85,9 +85,6 @@ class LinkScheduler
      */
     BitVector eligibleMask(Cycle now, const CreditManager &credits) const;
 
-    PriorityPolicy policy() const { return prioPolicy; }
-    void setPolicy(PriorityPolicy p) { prioPolicy = p; }
-
     /** Rounds completed so far. */
     std::uint64_t roundCount() const { return rounds; }
 

@@ -9,16 +9,18 @@
  * requested output link is free.
  *
  * At flit-cycle granularity the decoding period is a sub-cycle effect;
- * functionally the buffer is a small FIFO of flits that must never
- * overflow (overflow means the decode pipeline was mis-provisioned,
- * which validate() makes impossible).
+ * functionally the buffer is a small ring of flits, each with the
+ * output port its decoded header requests.
  */
 
 #ifndef MMR_ROUTER_PHIT_BUFFER_HH
 #define MMR_ROUTER_PHIT_BUFFER_HH
 
-#include <deque>
+#include <array>
+#include <cstddef>
 
+#include "base/logging.hh"
+#include "base/types.hh"
 #include "router/flit.hh"
 
 namespace mmr
@@ -28,32 +30,49 @@ class PhitBuffer
 {
   public:
     /**
-     * @param depth_phits buffer capacity in phits
-     * @param phits_per_flit how many phits one flit occupies
+     * Capacity in flits.  One flit's worth of phits arrives per flit
+     * cycle, so a decode pipeline 3 flit cycles deep plus the flit
+     * being decoded needs (3 + 1) x phits-per-flit phits: 4 flits,
+     * whatever the phit width.
      */
-    PhitBuffer(unsigned depth_phits, unsigned phits_per_flit);
+    static constexpr unsigned kFlits = 4;
 
-    /** Capacity in whole flits. */
-    unsigned flitCapacity() const { return depthPhits / phitsPerFlit; }
+    /** A buffered flit and the output port its header requests. */
+    struct Entry
+    {
+        Flit flit;
+        PortId out = kInvalidPort;
+    };
 
-    bool full() const { return fifo.size() >= flitCapacity(); }
-    bool empty() const { return fifo.empty(); }
-    std::size_t depth() const { return fifo.size(); }
+    bool full() const { return used == kFlits; }
+    bool empty() const { return used == 0; }
+    std::size_t depth() const { return used; }
 
     /** Accept a flit arriving from the link; false when full. */
-    bool push(const Flit &f);
+    bool
+    push(const Flit &f, PortId out)
+    {
+        if (full())
+            return false;
+        ring[(head + used) % kFlits] = Entry{f, out};
+        ++used;
+        return true;
+    }
 
-    Flit pop();
-    const Flit &head() const;
-
-    /** Phits that would arrive during a decode of @p decode_cycles. */
-    static unsigned requiredDepth(unsigned decode_cycles,
-                                  unsigned phits_per_flit);
+    Entry
+    pop()
+    {
+        mmr_assert(!empty(), "pop() from empty phit buffer");
+        const Entry e = ring[head];
+        head = (head + 1) % kFlits;
+        --used;
+        return e;
+    }
 
   private:
-    unsigned depthPhits;
-    unsigned phitsPerFlit;
-    std::deque<Flit> fifo;
+    std::array<Entry, kFlits> ring;
+    unsigned head = 0;
+    unsigned used = 0;
 };
 
 } // namespace mmr

@@ -45,20 +45,13 @@ MmrRouter::MmrRouter(const RouterConfig &cfg_, MetricsRecorder *metrics_)
     else if (cfg.scheduler == SchedulerKind::AgePriority ||
              cfg.scheduler == SchedulerKind::Autonet)
         policy = PriorityPolicy::Age;
-    const unsigned phits_per_flit = cfg.flitBits / cfg.phitBits;
-    phitBufs.reserve(cfg.numPorts);
     for (PortId p = 0; p < cfg.numPorts; ++p) {
         inputMems.emplace_back(cfg.vcsPerPort, cfg.vcBufferFlits);
         linkScheds.emplace_back(p, &inputMems.back(), cfg.numPorts,
                                 policy, cfg.cyclesPerRound(),
                                 random_candidates);
-        // §3.2: deep enough for the phits arriving during one decode
-        // period, plus headroom for a couple of back-to-back probes.
-        phitBufs.emplace_back(
-            PhitBuffer::requiredDepth(3, phits_per_flit),
-            phits_per_flit);
     }
-    phitBufOuts.resize(cfg.numPorts);
+    phitBufs.resize(cfg.numPorts);
     candScratch.resize(cfg.numPorts);
     for (auto &cands : candScratch)
         cands.reserve(cfg.candidates);
@@ -387,11 +380,10 @@ MmrRouter::offerControl(PortId in, PortId out, Flit f)
     mmr_assert(in < cfg.numPorts && out < cfg.numPorts,
                "control ports out of range");
     f.klass = TrafficClass::Control;
-    if (!phitBufs[in].push(f)) {
+    if (!phitBufs[in].push(f, out)) {
         ++statControlDrops; // link back-pressure on the probe
         return false;
     }
-    phitBufOuts[in].push_back(out);
     ++phitBuffered;
     return true;
 }
@@ -440,13 +432,9 @@ MmrRouter::processBypass(Cycle now)
     bypassPending.clear();
     for (PortId p = 0; p < cfg.numPorts; ++p) {
         while (!phitBufs[p].empty()) {
-            BypassReq req;
-            req.in = p;
-            req.flit = phitBufs[p].pop();
-            req.out = phitBufOuts[p].front();
-            phitBufOuts[p].pop_front();
+            const PhitBuffer::Entry e = phitBufs[p].pop();
             --phitBuffered;
-            bypassPending.push_back(std::move(req));
+            bypassPending.push_back({p, e.out, e.flit});
         }
     }
 

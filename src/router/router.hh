@@ -19,7 +19,6 @@
 #ifndef MMR_ROUTER_ROUTER_HH
 #define MMR_ROUTER_ROUTER_HH
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -285,7 +284,6 @@ class MmrRouter : public Clocked
      * buffered flit (in hardware it is part of the decoded header).
      */
     std::vector<PhitBuffer> phitBufs;
-    std::vector<std::deque<PortId>> phitBufOuts;
     unsigned phitBuffered = 0; ///< total flits across all phit buffers
 
     /** Installed connections with releaseWhenEmpty set; when zero the

@@ -13,6 +13,10 @@ namespace mmr
 namespace
 {
 
+/** Request/grant/accept rounds of the iterative matchers (PIM, iSLIP,
+ * output-driven). */
+constexpr unsigned kMatchingIterations = 3;
+
 /**
  * Port-usage mask for legality checks.  Switches up to 64 ports wide
  * fit in one machine word, so the every-cycle matching audit runs
@@ -103,14 +107,11 @@ SwitchScheduler::create(const RouterConfig &cfg)
       case SchedulerKind::AgePriority:
         return std::make_unique<GreedyPriorityScheduler>(cfg.numPorts);
       case SchedulerKind::OutputDriven:
-        return std::make_unique<OutputDrivenScheduler>(
-            cfg.numPorts, cfg.schedIterations);
+        return std::make_unique<OutputDrivenScheduler>(cfg.numPorts);
       case SchedulerKind::Autonet:
-        return std::make_unique<AutonetScheduler>(cfg.numPorts,
-                                                  cfg.schedIterations);
+        return std::make_unique<AutonetScheduler>(cfg.numPorts);
       case SchedulerKind::Islip:
-        return std::make_unique<IslipScheduler>(cfg.numPorts,
-                                                cfg.schedIterations);
+        return std::make_unique<IslipScheduler>(cfg.numPorts);
       case SchedulerKind::Perfect:
         return std::make_unique<PerfectSwitchScheduler>(cfg.numPorts);
     }
@@ -398,13 +399,11 @@ GreedyPriorityScheduler::scheduleMerge(
     }
 }
 
-OutputDrivenScheduler::OutputDrivenScheduler(unsigned num_ports,
-                                             unsigned iterations)
-    : numPorts(num_ports), iters(iterations), grant(num_ports),
-      accept(num_ports), grantMask(num_ports), acceptMask(num_ports),
-      inUsed(num_ports), outUsed(num_ports)
+OutputDrivenScheduler::OutputDrivenScheduler(unsigned num_ports)
+    : numPorts(num_ports), grant(num_ports), accept(num_ports),
+      grantMask(num_ports), acceptMask(num_ports), inUsed(num_ports),
+      outUsed(num_ports)
 {
-    mmr_assert(iters >= 1, "need at least one matching iteration");
 }
 
 // mmr-lint: allow(hot-path-alloc) amortized: the matching and
@@ -432,7 +431,7 @@ OutputDrivenScheduler::scheduleInto(
         return a->tie > b->tie;
     };
 
-    for (unsigned it = 0; it < iters; ++it) {
+    for (unsigned it = 0; it < kMatchingIterations; ++it) {
         // Grant: every free output picks the best request aimed at it.
         // grant[] entries are live only where grantMask is set, so the
         // old O(N) pointer fill is a word-wide clear.
@@ -470,12 +469,10 @@ OutputDrivenScheduler::scheduleInto(
     }
 }
 
-AutonetScheduler::AutonetScheduler(unsigned num_ports, unsigned iterations)
-    : numPorts(num_ports), iters(iterations), requests(num_ports),
-      grants(num_ports), offers(num_ports), inUsed(num_ports),
-      outUsed(num_ports)
+AutonetScheduler::AutonetScheduler(unsigned num_ports)
+    : numPorts(num_ports), requests(num_ports), grants(num_ports),
+      offers(num_ports), inUsed(num_ports), outUsed(num_ports)
 {
-    mmr_assert(iters >= 1, "need at least one matching iteration");
 }
 
 // mmr-lint: allow(hot-path-alloc) amortized: the matching and
@@ -492,7 +489,7 @@ AutonetScheduler::scheduleInto(
         outUsed[p] = masks.busyOut.test(p);
     }
 
-    for (unsigned it = 0; it < iters; ++it) {
+    for (unsigned it = 0; it < kMatchingIterations; ++it) {
         // Request phase: unmatched inputs request the outputs of all
         // their still-available candidates.
         for (auto &r : requests)
@@ -537,8 +534,8 @@ AutonetScheduler::scheduleInto(
     }
 }
 
-IslipScheduler::IslipScheduler(unsigned num_ports, unsigned iterations)
-    : numPorts(num_ports), iters(iterations), grantPtr(num_ports, 0),
+IslipScheduler::IslipScheduler(unsigned num_ports)
+    : numPorts(num_ports), grantPtr(num_ports, 0),
       acceptPtr(num_ports, 0),
       req(static_cast<std::size_t>(num_ports) * num_ports),
       grant(num_ports),
@@ -546,7 +543,6 @@ IslipScheduler::IslipScheduler(unsigned num_ports, unsigned iterations)
       grantForIn(num_ports, BitVector(num_ports)),
       inUsed(num_ports), outUsed(num_ports)
 {
-    mmr_assert(iters >= 1, "need at least one matching iteration");
 }
 
 // mmr-lint: allow(hot-path-alloc) amortized: the matching and
@@ -564,7 +560,7 @@ IslipScheduler::scheduleInto(
         outUsed[p] = masks.busyOut.test(p);
     }
 
-    for (unsigned it = 0; it < iters; ++it) {
+    for (unsigned it = 0; it < kMatchingIterations; ++it) {
         // Requests: candidate per (input, output); keep the best
         // candidate per pair so the grant can return it.  The request
         // matrix is shadowed by one bit per pair; req[] entries with a

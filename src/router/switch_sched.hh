@@ -174,7 +174,7 @@ class GreedyPriorityScheduler : public SwitchScheduler
 class OutputDrivenScheduler : public SwitchScheduler
 {
   public:
-    OutputDrivenScheduler(unsigned num_ports, unsigned iterations);
+    explicit OutputDrivenScheduler(unsigned num_ports);
 
     void scheduleInto(const std::vector<std::vector<Candidate>> &per_input,
                       const PortMasks &masks, Rng &rng,
@@ -183,7 +183,6 @@ class OutputDrivenScheduler : public SwitchScheduler
 
   private:
     unsigned numPorts;
-    unsigned iters;
 
     std::vector<const Candidate *> grant;  ///< scratch, per output
     std::vector<const Candidate *> accept; ///< scratch, per input
@@ -202,7 +201,7 @@ class OutputDrivenScheduler : public SwitchScheduler
 class AutonetScheduler : public SwitchScheduler
 {
   public:
-    AutonetScheduler(unsigned num_ports, unsigned iterations);
+    explicit AutonetScheduler(unsigned num_ports);
 
     void scheduleInto(const std::vector<std::vector<Candidate>> &per_input,
                       const PortMasks &masks, Rng &rng,
@@ -211,7 +210,6 @@ class AutonetScheduler : public SwitchScheduler
 
   private:
     unsigned numPorts;
-    unsigned iters;
 
     std::vector<std::vector<const Candidate *>> requests; ///< per out
     std::vector<const Candidate *> grants;
@@ -224,7 +222,7 @@ class AutonetScheduler : public SwitchScheduler
 class IslipScheduler : public SwitchScheduler
 {
   public:
-    IslipScheduler(unsigned num_ports, unsigned iterations);
+    explicit IslipScheduler(unsigned num_ports);
 
     void scheduleInto(const std::vector<std::vector<Candidate>> &per_input,
                       const PortMasks &masks, Rng &rng,
@@ -233,7 +231,6 @@ class IslipScheduler : public SwitchScheduler
 
   private:
     unsigned numPorts;
-    unsigned iters;
     std::vector<unsigned> grantPtr;  ///< per output, over inputs
     std::vector<unsigned> acceptPtr; ///< per input, over outputs
 

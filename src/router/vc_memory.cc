@@ -1,5 +1,6 @@
 #include "router/vc_memory.hh"
 
+#include <bit>
 #include <cmath>
 
 #include "base/logging.hh"
@@ -57,16 +58,16 @@ VcMemoryModel::minBanksFor(double link_rate_bps, unsigned flit_bits,
 }
 
 VcMemory::VcMemory(unsigned nvcs, unsigned per_vc_depth)
-    : vcs(nvcs), perVcDepth(per_vc_depth), flitsAvail(nvcs),
-      schedDirty(nvcs)
+    : perVcDepth(per_vc_depth), flitsAvail(nvcs), schedDirty(nvcs)
 {
     mmr_assert(nvcs > 0, "VC memory needs at least one VC");
     mmr_assert(per_vc_depth > 0, "per-VC depth must be positive");
-    // The paper's VC memory is a fixed-size interleaved RAM (§3.2):
-    // give every ring its full depth up front so the data path never
-    // allocates, not even on a VC's first-ever deposit.
-    for (VcState &state : vcs)
-        state.reserveFifo(per_vc_depth);
+    const std::uint32_t ring = std::bit_ceil(per_vc_depth);
+    ram.reset(static_cast<Flit *>(
+        ::operator new(sizeof(Flit) * std::size_t{nvcs} * ring)));
+    vcs.reserve(nvcs);
+    for (unsigned v = 0; v < nvcs; ++v)
+        vcs.emplace_back(FlitFifo(ram.get() + std::size_t{v} * ring, ring));
 }
 
 void

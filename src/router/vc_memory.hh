@@ -8,16 +8,18 @@
  * address comes from the flow-control circuitry and the read address
  * from the link scheduler.
  *
- * This class provides (a) the functional storage — per-VC FIFOs with a
- * shared capacity pool and per-VC depth limits — and (b) the timing
- * model used to balance "memory access time, link speed, and crossbar
- * switching delay": a static analysis of the bandwidth a bank
- * configuration sustains, exercised by bench_vc_memory.
+ * This class provides (a) the functional storage — one RAM per input
+ * port, each VC's FIFO a fixed ring of adjacent slots in it, with
+ * per-VC depth limits — and (b) the timing model used to balance
+ * "memory access time, link speed, and crossbar switching delay": a
+ * static analysis of the bandwidth a bank configuration sustains,
+ * exercised by bench_vc_memory.
  */
 
 #ifndef MMR_ROUTER_VC_MEMORY_HH
 #define MMR_ROUTER_VC_MEMORY_HH
 
+#include <memory>
 #include <vector>
 
 #include "base/bitvector.hh"
@@ -59,7 +61,15 @@ struct VcMemoryModel
                                 unsigned ports_per_bank = 1);
 };
 
-/** Functional per-input-port VC buffer pool. */
+/**
+ * Functional per-input-port VC memory: one block of vcs x ring flit
+ * slots, where ring is the per-VC depth rounded up to a power of two
+ * and VC v owns slots [v * ring, (v + 1) * ring).  The block is
+ * allocated uninitialized and a slot is only written by a deposit, so
+ * a VC that never carries a flit costs address space but no resident
+ * memory.  Move-only (the block is uniquely owned); the VcStates
+ * point into the block, which a move does not relocate.
+ */
 class VcMemory
 {
   public:
@@ -91,7 +101,7 @@ class VcMemory
      * prevented this.
      */
     // mmr-lint: allow(hot-path-alloc) state.push is VcState::push into
-    // the FlitFifo ring, which keeps its capacity once grown.
+    // the VC's ring, a fixed slice of the port RAM that cannot grow.
     bool
     deposit(VcId v, const Flit &f)
     {
@@ -180,6 +190,12 @@ class VcMemory
     void auditLegality() const;
 
   private:
+    struct RamFree
+    {
+        void operator()(Flit *p) const { ::operator delete(p); }
+    };
+
+    std::unique_ptr<Flit, RamFree> ram; ///< vcs x ring raw flit slots
     std::vector<VcState> vcs;
     unsigned perVcDepth;
     std::size_t occupied = 0;

@@ -16,7 +16,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <new>
+#include <type_traits>
 
 #include "base/logging.hh"
 #include "base/types.hh"
@@ -26,76 +27,60 @@ namespace mmr
 {
 
 /**
- * Fixed-layout flit FIFO: a power-of-two ring over a flat vector.
- * Unlike std::deque it never allocates once grown to its working
- * depth, so the per-cycle evaluate/advance path stays heap-free in
- * steady state (capacity persists across empty/non-empty transitions).
+ * One VC's flit FIFO: a fixed power-of-two ring of slots inside its
+ * input port's VC RAM, which VcMemory owns ("flits of one VC occupy
+ * adjacent location sets", §3.2).  The ring never grows, so a push
+ * can never allocate; VcMemory::deposit refuses at the depth limit,
+ * which never exceeds the ring, so a push into a full ring is a bug.
  */
 class FlitFifo
 {
   public:
+    /** @p ring slots (a power of two) starting at @p slots. */
+    FlitFifo(Flit *slots_, std::uint32_t ring)
+        : slots(slots_), mask(ring - 1)
+    {
+    }
+
     bool empty() const { return used == 0; }
     std::size_t size() const { return used; }
 
     void
     push_back(const Flit &f)
     {
-        if (used == buf.size())
-            grow();
-        buf[(head + used) & (buf.size() - 1)] = f;
+        mmr_assert(used <= mask, "push into a full VC ring");
+        // The RAM is never value-initialized: a slot is constructed
+        // when a flit is first written to it.
+        ::new (slots + ((head + used) & mask)) Flit(f);
         ++used;
     }
 
     void
     pop_front()
     {
-        head = (head + 1) & (buf.size() - 1);
         --used;
+        // An emptied ring restarts at its first slot, so a VC touches
+        // only as many slots of the RAM as its peak occupancy.
+        head = used == 0 ? 0 : (head + 1) & mask;
     }
 
-    const Flit &front() const { return buf[head]; }
-
-    /** Preallocate capacity for @p n flits (next power of two).  The
-     * hardware VC RAM is fixed-size (§3.2); sizing the ring to the
-     * configured depth up front means deposit() never allocates, on
-     * any VC, warmed up or not. */
-    void
-    reserve(std::size_t n)
-    {
-        std::size_t cap = buf.empty() ? 4 : buf.size();
-        while (cap < n)
-            cap *= 2;
-        if (cap != buf.size())
-            growTo(cap);
-    }
+    const Flit &front() const { return slots[head]; }
 
     /** @p i counted from the front (0 = head). */
     const Flit &
     operator[](std::size_t i) const
     {
-        return buf[(head + i) & (buf.size() - 1)];
+        return slots[(head + i) & mask];
     }
 
   private:
-    void
-    grow()
-    {
-        growTo(buf.empty() ? 4 : buf.size() * 2);
-    }
+    static_assert(std::is_trivially_destructible_v<Flit>,
+                  "popped slots are overwritten, never destroyed");
 
-    void
-    growTo(std::size_t cap)
-    {
-        std::vector<Flit> next(cap);
-        for (std::size_t i = 0; i < used; ++i)
-            next[i] = buf[(head + i) & (buf.size() - 1)];
-        buf.swap(next);
-        head = 0;
-    }
-
-    std::vector<Flit> buf; ///< size is always zero or a power of two
-    std::size_t head = 0;
-    std::size_t used = 0;
+    Flit *slots;
+    std::uint32_t mask;
+    std::uint32_t head = 0;
+    std::uint32_t used = 0;
 };
 
 class VcState
@@ -122,6 +107,9 @@ class VcState
         std::uint32_t arbWait = 0;    ///< head of VC -> grant issued
     };
 
+    /** A free VC whose flits live in @p ring. */
+    explicit VcState(FlitFifo ring) : fifo(ring) {}
+
     /** Reset to the unbound (free) state. */
     void release();
 
@@ -136,9 +124,6 @@ class VcState
     bool bound() const { return connId != kInvalidConn; }
     ConnId conn() const { return connId; }
     TrafficClass trafficClass() const { return klass; }
-
-    /** Preallocate the flit ring to the configured VC depth. */
-    void reserveFifo(std::size_t n) { fifo.reserve(n); }
 
     /** FIFO interface backed by the VC memory.  Push/pop/head on an
      * unbound VC, or pop/head on an empty one, panic: silently

@@ -27,15 +27,13 @@ relaxWait(unsigned &spins)
 ShardPool::ShardPool(unsigned shards) : numShards(shards)
 {
     mmr_assert(shards >= 1, "shard pool needs at least one shard");
-    workers.reserve(shards > 0 ? shards - 1 : 0);
+    workers.reserve(shards - 1);
     for (unsigned s = 1; s < shards; ++s)
         workers.emplace_back([this, s] { workerLoop(s); });
 }
 
 ShardPool::~ShardPool()
 {
-    if (workers.empty())
-        return;
     stopping = true;
     phaseSeq.fetch_add(1, std::memory_order_release);
     for (std::thread &t : workers)
@@ -45,12 +43,6 @@ ShardPool::~ShardPool()
 void
 ShardPool::runPhase(Cycle now, const PhaseFn &fn)
 {
-    if (workers.empty()) {
-        for (unsigned s = 0; s < numShards; ++s)
-            fn(s);
-        return;
-    }
-
     job = &fn;
     jobCycle = now;
     pending.store(static_cast<unsigned>(workers.size()),

@@ -9,8 +9,8 @@
  * per cycle) that wait on a generation counter, run one phase
  * callback for their shard, and signal completion.  The coordinator
  * thread runs shard 0 itself, so a pool of S shards spawns S-1
- * threads and a 1-shard pool spawns none and runs everything inline —
- * the serial path is untouched by construction.
+ * threads and a 1-shard pool spawns none and runs its one shard on
+ * the calling thread: a serial network is the one-shard case.
  *
  * Synchronization is a spin-then-yield loop over acquire/release
  * atomics: on the 1-core bench host a pure spin would livelock the

@@ -282,5 +282,29 @@ TEST(ZeroAlloc, ChurnSessionsAllocateOnlyFromThePool)
         << " arrivals)";
 }
 
+/**
+ * A VC costs no heap allocation of its own: each input port's VC
+ * memory is one RAM (§3.2) whatever its VC count, so building a port
+ * with 256 VCs makes as many allocations as one with 8.  A per-VC
+ * allocation would multiply resident bytes per router at
+ * construction, which the steady-state windows above cannot see.
+ */
+TEST(ZeroAlloc, VcMemoryAllocationsDoNotScaleWithVcs)
+{
+    const auto countCtorAllocations = [](unsigned vcs) {
+        allocations.store(0);
+        counting.store(true);
+        {
+            VcMemory mem(vcs, 64);
+        }
+        counting.store(false);
+        return allocations.load();
+    };
+    const std::uint64_t few = countCtorAllocations(8);
+    const std::uint64_t many = countCtorAllocations(256);
+    EXPECT_EQ(few, many)
+        << "VcMemory allocations grow with the VC count";
+}
+
 } // namespace
 } // namespace mmr

@@ -25,7 +25,6 @@ smallNetConfig()
     cfg.router.vcBufferFlits = 8;
     cfg.router.candidates = 4;
     cfg.router.roundFactorK = 2;
-    cfg.linkLatency = 1;
     cfg.seed = 13;
     return cfg;
 }

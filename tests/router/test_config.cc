@@ -64,8 +64,6 @@ TEST(Config, ValidationRejectsNonsense)
     expect_invalid([](RouterConfig &c) { c.linkRateBps = -1.0; });
     expect_invalid([](RouterConfig &c) { c.flitBits = 0; });
     expect_invalid([](RouterConfig &c) { c.flitBits = 129; });
-    expect_invalid([](RouterConfig &c) { c.phitBits = 0; });
-    expect_invalid([](RouterConfig &c) { c.phitBits = 48; });
     expect_invalid([](RouterConfig &c) { c.vcBufferFlits = 0; });
     expect_invalid([](RouterConfig &c) { c.roundFactorK = 0; });
     expect_invalid([](RouterConfig &c) { c.candidates = 0; });
@@ -75,7 +73,6 @@ TEST(Config, ValidationRejectsNonsense)
     expect_invalid([](RouterConfig &c) { c.concurrencyFactor = 0.5; });
     expect_invalid([](RouterConfig &c) { c.bestEffortReserve = 1.0; });
     expect_invalid([](RouterConfig &c) { c.bestEffortReserve = -0.1; });
-    expect_invalid([](RouterConfig &c) { c.memBanks = 0; });
 }
 
 TEST(Config, FlitCycleScalesWithLinkAndFlit)

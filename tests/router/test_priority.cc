@@ -6,16 +6,19 @@
 #include <gtest/gtest.h>
 
 #include "router/priority.hh"
+#include "router/vc_memory.hh"
 
 namespace mmr
 {
 namespace
 {
 
-VcState
-cbrVc(double inter_arrival, Cycle ready)
+/** Bind the one VC of @p mem to CBR, holding one flit ready at
+ * @p ready. */
+const VcState &
+cbrVc(VcMemory &mem, double inter_arrival, Cycle ready)
 {
-    VcState vc;
+    VcState &vc = mem.vc(0);
     vc.bindCbr(1, 4, inter_arrival);
     Flit f;
     f.readyTime = ready;
@@ -25,7 +28,8 @@ cbrVc(double inter_arrival, Cycle ready)
 
 TEST(Priority, BiasedGrowsWithWaitingTime)
 {
-    VcState vc = cbrVc(100.0, 10);
+    VcMemory vc_mem(1, 4);
+    const VcState &vc = cbrVc(vc_mem, 100.0, 10);
     const double p1 = headPriority(PriorityPolicy::Biased, vc, 20);
     const double p2 = headPriority(PriorityPolicy::Biased, vc, 60);
     EXPECT_DOUBLE_EQ(p1, 0.1);
@@ -37,15 +41,18 @@ TEST(Priority, BiasedScalesWithConnectionSpeed)
 {
     // "High speed connections clearly have their priorities grow at a
     // faster rate": same wait, smaller inter-arrival, higher ratio.
-    VcState fast = cbrVc(10.0, 0);
-    VcState slow = cbrVc(1000.0, 0);
+    VcMemory fast_mem(1, 4);
+    const VcState &fast = cbrVc(fast_mem, 10.0, 0);
+    VcMemory slow_mem(1, 4);
+    const VcState &slow = cbrVc(slow_mem, 1000.0, 0);
     EXPECT_GT(headPriority(PriorityPolicy::Biased, fast, 50),
               headPriority(PriorityPolicy::Biased, slow, 50));
 }
 
 TEST(Priority, FixedIsConstantOverTime)
 {
-    VcState vc = cbrVc(100.0, 0);
+    VcMemory vc_mem(1, 4);
+    const VcState &vc = cbrVc(vc_mem, 100.0, 0);
     const double p1 = headPriority(PriorityPolicy::Fixed, vc, 10);
     const double p2 = headPriority(PriorityPolicy::Fixed, vc, 10000);
     EXPECT_DOUBLE_EQ(p1, p2);
@@ -54,28 +61,33 @@ TEST(Priority, FixedIsConstantOverTime)
 
 TEST(Priority, FixedOrdersByRate)
 {
-    VcState fast = cbrVc(10.0, 0);
-    VcState slow = cbrVc(1000.0, 0);
+    VcMemory fast_mem(1, 4);
+    const VcState &fast = cbrVc(fast_mem, 10.0, 0);
+    VcMemory slow_mem(1, 4);
+    const VcState &slow = cbrVc(slow_mem, 1000.0, 0);
     EXPECT_GT(headPriority(PriorityPolicy::Fixed, fast, 0),
               headPriority(PriorityPolicy::Fixed, slow, 0));
 }
 
 TEST(Priority, AgeIsRawWait)
 {
-    VcState vc = cbrVc(100.0, 5);
+    VcMemory vc_mem(1, 4);
+    const VcState &vc = cbrVc(vc_mem, 100.0, 5);
     EXPECT_DOUBLE_EQ(headPriority(PriorityPolicy::Age, vc, 25), 20.0);
 }
 
 TEST(Priority, ClockBeforeReadyClampsToZero)
 {
-    VcState vc = cbrVc(100.0, 50);
+    VcMemory vc_mem(1, 4);
+    const VcState &vc = cbrVc(vc_mem, 100.0, 50);
     EXPECT_DOUBLE_EQ(headPriority(PriorityPolicy::Biased, vc, 10), 0.0);
     EXPECT_DOUBLE_EQ(headPriority(PriorityPolicy::Age, vc, 10), 0.0);
 }
 
 TEST(Priority, ZeroInterArrivalFallsBackToAge)
 {
-    VcState vc;
+    VcMemory mem(1, 4);
+    VcState &vc = mem.vc(0);
     vc.bindBestEffort(1);
     Flit f;
     f.readyTime = 0;
@@ -86,7 +98,10 @@ TEST(Priority, ZeroInterArrivalFallsBackToAge)
 
 TEST(ServiceTier, OrderingMatchesSection43)
 {
-    VcState ctl, cbr, be;
+    VcMemory mem(3, 4);
+    VcState &ctl = mem.vc(0);
+    VcState &cbr = mem.vc(1);
+    VcState &be = mem.vc(2);
     ctl.bindControl(1);
     cbr.bindCbr(2, 4, 10.0);
     be.bindBestEffort(3);
@@ -106,7 +121,8 @@ TEST(ServiceTier, OrderingMatchesSection43)
 
 TEST(ServiceTier, VbrDemotesToExcessAfterPermanentBandwidth)
 {
-    VcState vbr;
+    VcMemory mem(1, 4);
+    VcState &vbr = mem.vc(0);
     vbr.bindVbr(1, 2, 5, 10.0, 0);
     // Within permanent bandwidth: the VBR-permanent tier.
     EXPECT_EQ(serviceTier(vbr), ServiceTier::VbrPermanent);
@@ -122,7 +138,8 @@ TEST(ServiceTier, VbrDemotesToExcessAfterPermanentBandwidth)
 
 TEST(ServiceTier, PendingGrantsCountAgainstPermanent)
 {
-    VcState vbr;
+    VcMemory mem(1, 4);
+    VcState &vbr = mem.vc(0);
     vbr.bindVbr(1, 1, 5, 10.0, 0);
     vbr.noteGrantIssued();
     EXPECT_EQ(serviceTier(vbr), ServiceTier::VbrExcess)

@@ -228,9 +228,9 @@ TEST_P(SwitchSchedProperty, AllAlgorithmsProduceLegalMatchings)
     Rng rng(seed);
     const unsigned ports = 8;
     GreedyPriorityScheduler greedy(ports);
-    OutputDrivenScheduler outdrv(ports, 3);
-    AutonetScheduler autonet(ports, 3);
-    IslipScheduler islip(ports, 3);
+    OutputDrivenScheduler outdrv(ports);
+    AutonetScheduler autonet(ports);
+    IslipScheduler islip(ports);
     PerfectSwitchScheduler perfect(ports);
     PortMasks masks(ports);
 

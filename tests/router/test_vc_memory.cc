@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "base/rng.hh"
 #include "router/vc_memory.hh"
 
 namespace mmr
@@ -69,6 +72,147 @@ TEST(VcMemoryDeath, OutOfRangePanics)
     VcMemory mem(4, 4);
     EXPECT_DEATH(mem.vc(4), "out of range");
     EXPECT_DEATH(mem.noteDrained(0), "zero occupancy");
+}
+
+/**
+ * Model-based differential test: seeded random sequences of the
+ * operations the router performs on its VC memory, checked after
+ * every step against one std::deque<Flit> per VC.
+ */
+class VcMemoryModelRun
+{
+  public:
+    VcMemoryModelRun(unsigned vcs, unsigned depth, std::uint64_t seed)
+        : mem(vcs, depth), depthLimit(depth), model(vcs), rng(seed)
+    {
+    }
+
+    void
+    step()
+    {
+        const auto v = static_cast<VcId>(rng.below(model.size()));
+        VcModel &m = model[v];
+        VcState &vc = mem.vc(v);
+        // Alternate fill-heavy and drain-heavy stretches so every VC
+        // both reaches its depth limit and empties out to be released.
+        const bool filling = (now / 500) % 2 == 0;
+        const std::uint64_t r = rng.below(8);
+        int op = 3; // pop
+        if (r == 0)
+            op = 0;
+        else if (r < (filling ? 5u : 2u))
+            op = 1;
+        else if (r < (filling ? 6u : 5u))
+            op = 2;
+        switch (op) {
+          case 0: // bind, or release a drained VC
+            if (!m.bound) {
+                vc.bindBestEffort(v + 1);
+                m.bound = true;
+            } else if (m.flits.empty() && m.pending == 0) {
+                vc.release();
+                m.bound = false;
+            }
+            break;
+          case 1: // deposit
+            if (m.bound) {
+                Flit f;
+                f.conn = v + 1;
+                f.seq = nextSeq++;
+                f.readyTime = now;
+                const bool fits = m.flits.size() < depthLimit;
+                ASSERT_EQ(mem.deposit(v, f), fits);
+                if (fits)
+                    m.flits.push_back(f);
+                else
+                    ++overflows;
+            }
+            break;
+          case 2: // grant the next ungranted flit
+            if (m.flits.size() > m.pending) {
+                vc.noteGrantIssued(now);
+                mem.markSchedDirty(v);
+                ++m.pending;
+            }
+            break;
+          case 3: // apply the oldest grant: pop the head
+            if (m.pending > 0) {
+                const Flit f = vc.pop();
+                mem.noteDrained(v);
+                vc.noteGrantApplied();
+                ASSERT_EQ(f.seq, m.flits.front().seq);
+                ASSERT_EQ(f.readyTime, m.flits.front().readyTime);
+                m.flits.pop_front();
+                --m.pending;
+            }
+            break;
+        }
+        ++now;
+    }
+
+    void
+    check() const
+    {
+        std::size_t total = 0;
+        for (VcId v = 0; v < model.size(); ++v) {
+            const VcModel &m = model[v];
+            const VcState &vc = mem.vc(v);
+            total += m.flits.size();
+            ASSERT_EQ(vc.bound(), m.bound) << "VC " << v;
+            ASSERT_EQ(vc.depth(), m.flits.size()) << "VC " << v;
+            ASSERT_EQ(vc.empty(), m.flits.empty()) << "VC " << v;
+            ASSERT_EQ(vc.pendingGrants(), m.pending) << "VC " << v;
+            ASSERT_EQ(mem.freeSlots(v), depthLimit - m.flits.size());
+            ASSERT_EQ(mem.flitsAvailable().test(v), !m.flits.empty());
+            ASSERT_EQ(vc.hasUngrantedFlit(), m.flits.size() > m.pending);
+            if (!m.flits.empty()) {
+                ASSERT_EQ(vc.head().seq, m.flits.front().seq);
+            }
+            if (vc.hasUngrantedFlit()) {
+                const Flit &h = vc.ungrantedHead();
+                ASSERT_EQ(h.seq, m.flits[m.pending].seq);
+                ASSERT_EQ(h.conn, m.flits[m.pending].conn);
+            }
+        }
+        ASSERT_EQ(mem.occupancy(), total);
+        ASSERT_EQ(mem.overflowCount(), overflows);
+        mem.auditOccupancy();
+        mem.auditLegality();
+    }
+
+  private:
+    struct VcModel
+    {
+        bool bound = false;
+        std::deque<Flit> flits;
+        unsigned pending = 0;
+    };
+
+    VcMemory mem;
+    unsigned depthLimit;
+    std::vector<VcModel> model;
+    Rng rng;
+    std::uint32_t nextSeq = 0;
+    std::uint64_t overflows = 0;
+    Cycle now = 0;
+};
+
+TEST(VcMemoryDifferential, MatchesDequeModel)
+{
+    std::uint64_t seed = 1;
+    for (unsigned vcs : {1u, 3u, 16u}) {
+        for (unsigned depth : {1u, 3u, 4u, 5u, 64u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << vcs << " VCs, depth " << depth);
+            VcMemoryModelRun run(vcs, depth, seed++);
+            for (int i = 0; i < 4000; ++i) {
+                run.step();
+                run.check();
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+        }
+    }
 }
 
 TEST(VcMemoryModel, WordsPerFlitRoundsUp)

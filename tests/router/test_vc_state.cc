@@ -1,11 +1,12 @@
 /**
  * @file
- * Unit tests for per-VC scheduling state (§3.2, §4.3).
+ * Unit tests for per-VC scheduling state (§3.2, §4.3).  Each VC is
+ * the only channel of a one-VC memory, which owns its flit ring.
  */
 
 #include <gtest/gtest.h>
 
-#include "router/vc_state.hh"
+#include "router/vc_memory.hh"
 
 namespace mmr
 {
@@ -22,7 +23,8 @@ makeFlit(std::uint32_t seq)
 
 TEST(VcState, StartsUnbound)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     EXPECT_FALSE(vc.bound());
     EXPECT_FALSE(vc.mapped());
     EXPECT_TRUE(vc.empty());
@@ -31,7 +33,8 @@ TEST(VcState, StartsUnbound)
 
 TEST(VcState, CbrBindSetsState)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindCbr(7, 12, 100.0);
     EXPECT_TRUE(vc.bound());
     EXPECT_EQ(vc.conn(), 7u);
@@ -43,7 +46,8 @@ TEST(VcState, CbrBindSetsState)
 
 TEST(VcState, VbrBindSetsState)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindVbr(3, 4, 10, 50.0, 2);
     EXPECT_EQ(vc.trafficClass(), TrafficClass::VBR);
     EXPECT_EQ(vc.permCycles(), 4u);
@@ -54,7 +58,9 @@ TEST(VcState, VbrBindSetsState)
 
 TEST(VcState, BestEffortAndControlHaveNoQuota)
 {
-    VcState be, ctl;
+    VcMemory be_mem(1, 8), ctl_mem(1, 8);
+    VcState &be = be_mem.vc(0);
+    VcState &ctl = ctl_mem.vc(0);
     be.bindBestEffort(1);
     ctl.bindControl(2);
     EXPECT_EQ(be.quotaThisRound(), ~0u);
@@ -63,7 +69,8 @@ TEST(VcState, BestEffortAndControlHaveNoQuota)
 
 TEST(VcState, FifoOrderPreserved)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindBestEffort(1);
     for (std::uint32_t i = 0; i < 5; ++i)
         vc.push(makeFlit(i));
@@ -77,7 +84,8 @@ TEST(VcState, FifoOrderPreserved)
 
 TEST(VcState, PendingGrantsTrackUngrantedFlits)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindCbr(1, 4, 10.0);
     vc.push(makeFlit(0));
     EXPECT_TRUE(vc.hasUngrantedFlit());
@@ -96,7 +104,8 @@ TEST(VcState, PendingGrantsTrackUngrantedFlits)
 
 TEST(VcState, RoundAccounting)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindCbr(1, 2, 10.0);
     vc.noteServiced();
     vc.noteServiced();
@@ -107,7 +116,8 @@ TEST(VcState, RoundAccounting)
 
 TEST(VcState, MappingLifecycle)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindCbr(1, 1, 10.0);
     EXPECT_FALSE(vc.mapped());
     vc.setMapping(3, 17);
@@ -118,7 +128,8 @@ TEST(VcState, MappingLifecycle)
 
 TEST(VcState, ReleaseRestoresFreshState)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindVbr(9, 2, 4, 25.0, 1);
     vc.setMapping(1, 2);
     vc.release();
@@ -133,14 +144,16 @@ TEST(VcState, ReleaseRestoresFreshState)
 
 TEST(VcState, DynamicUpdates)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindCbr(1, 2, 100.0);
     vc.setCbrAlloc(5);
     vc.setInterArrival(40.0);
     EXPECT_EQ(vc.allocCycles(), 5u);
     EXPECT_DOUBLE_EQ(vc.interArrival(), 40.0);
 
-    VcState vbr;
+    VcMemory vbr_mem(1, 8);
+    VcState &vbr = vbr_mem.vc(0);
     vbr.bindVbr(2, 2, 4, 10.0, 0);
     vbr.setVbrAlloc(3, 6);
     vbr.setUserPriority(7);
@@ -151,14 +164,16 @@ TEST(VcState, DynamicUpdates)
 
 TEST(VcStateDeath, DoubleBindPanics)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindCbr(1, 1, 10.0);
     EXPECT_DEATH(vc.bindCbr(2, 1, 10.0), "already-bound");
 }
 
 TEST(VcStateDeath, ReleaseWithFlitsPanics)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindBestEffort(1);
     vc.push(makeFlit(0));
     EXPECT_DEATH(vc.release(), "buffered flits");
@@ -166,39 +181,56 @@ TEST(VcStateDeath, ReleaseWithFlitsPanics)
 
 TEST(VcStateDeath, PopEmptyPanics)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindBestEffort(1);
     EXPECT_DEATH(vc.pop(), "empty");
 }
 
 TEST(VcStateDeath, PopUnboundPanics)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     EXPECT_DEATH(vc.pop(), "unbound");
 }
 
 TEST(VcStateDeath, HeadEmptyPanics)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     vc.bindCbr(1, 1, 10.0);
     EXPECT_DEATH(vc.head(), "empty");
 }
 
 TEST(VcStateDeath, HeadUnboundPanics)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     EXPECT_DEATH(vc.head(), "unbound");
 }
 
 TEST(VcStateDeath, PushUnboundPanics)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     EXPECT_DEATH(vc.push(makeFlit(3)), "unbound");
+}
+
+TEST(VcStateDeath, PushIntoFullRingPanics)
+{
+    // Depth 4 is already a power of two: the ring has exactly 4 slots.
+    VcMemory mem(1, 4);
+    VcState &vc = mem.vc(0);
+    vc.bindBestEffort(1);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        vc.push(makeFlit(i));
+    EXPECT_DEATH(vc.push(makeFlit(4)), "full VC ring");
 }
 
 TEST(VcStateDeath, VbrPeakBelowPermPanics)
 {
-    VcState vc;
+    VcMemory mem(1, 8);
+    VcState &vc = mem.vc(0);
     EXPECT_DEATH(vc.bindVbr(1, 10, 5, 1.0, 0), "peak below");
 }
 
