@@ -94,12 +94,7 @@ Cli::integer(const std::string &name) const
 double
 Cli::real(const std::string &name) const
 {
-    const std::string v = str(name);
-    char *end = nullptr;
-    const double x = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-        mmr_fatal("flag --", name, " expects a number, got '", v, "'");
-    return x;
+    return parseFinite(str(name), "flag --" + name);
 }
 
 bool

@@ -47,6 +47,7 @@ class Cli
 
     std::string str(const std::string &name) const;
     std::int64_t integer(const std::string &name) const;
+    /** parseFinite() of the flag's value: NaN and infinity are fatal. */
     double real(const std::string &name) const;
     bool boolean(const std::string &name) const;
 

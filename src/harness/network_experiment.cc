@@ -1,7 +1,9 @@
 #include "harness/network_experiment.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "base/fnv1a.hh"
@@ -39,44 +41,103 @@ topologyFromSpec(const std::string &spec, std::uint64_t seed)
     const std::string kind = spec.substr(0, colon);
     const std::string args = spec.substr(colon + 1);
 
+    // Digits only: strtoul would take a sign or leading blanks and
+    // wrap out-of-range values.  Nine digits stay below 2^32.
     auto parse_uint = [&](const std::string &s) -> unsigned {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(s.c_str(), &end, 10);
-        if (end == s.c_str() || *end != '\0' || v == 0)
+        const bool digits =
+            !s.empty() && s.size() <= 9 &&
+            std::all_of(s.begin(), s.end(), [](char c) {
+                return std::isdigit(static_cast<unsigned char>(c));
+            });
+        const unsigned long v = digits ? std::stoul(s) : 0;
+        if (v == 0)
             mmr_fatal("bad number '", s, "' in topology spec '", spec,
                       "'");
         return static_cast<unsigned>(v);
     };
+    // The builders assert their shape preconditions; a spec is user
+    // input, so every one is checked here first, and so is the size:
+    // a typo must be an error, not an out-of-memory kill.
+    auto require = [&](bool ok, const char *what) {
+        if (!ok)
+            mmr_fatal("topology spec '", spec, "': ", what);
+    };
+    // Nodes are checked before links are counted: with the node
+    // count capped, no link count below can overflow 64 bits.
+    auto cap_nodes = [&](std::uint64_t nodes) {
+        if (nodes > kMaxTopologyNodes)
+            mmr_fatal("topology spec '", spec, "' asks for ", nodes,
+                      " nodes (limit ", kMaxTopologyNodes, ")");
+    };
+    auto cap_links = [&](std::uint64_t links) {
+        if (links > kMaxTopologyLinks)
+            mmr_fatal("topology spec '", spec, "' asks for ", links,
+                      " links (limit ", kMaxTopologyLinks, ")");
+    };
+    // "A<sep>B" as two numbers.
+    auto pair = [&](char sep, const char *form) {
+        const auto at = args.find(sep);
+        if (at == std::string::npos)
+            mmr_fatal("'", kind, "' spec needs ", form, ": '", spec, "'");
+        return std::pair<std::uint64_t, std::uint64_t>(
+            parse_uint(args.substr(0, at)),
+            parse_uint(args.substr(at + 1)));
+    };
 
     if (kind == "mesh" || kind == "torus") {
-        const auto x = args.find('x');
-        if (x == std::string::npos)
-            mmr_fatal("'", kind, "' spec needs WxH: '", spec, "'");
-        const unsigned w = parse_uint(args.substr(0, x));
-        const unsigned h = parse_uint(args.substr(x + 1));
-        return kind == "mesh" ? Topology::mesh2d(w, h)
-                              : Topology::torus2d(w, h);
+        const auto [w, h] = pair('x', "WxH");
+        if (kind == "mesh") {
+            cap_nodes(w * h);
+            cap_links((w - 1) * h + w * (h - 1));
+            return Topology::mesh2d(static_cast<unsigned>(w),
+                                    static_cast<unsigned>(h));
+        }
+        require(w > 2 && h > 2, "a torus needs width and height of at "
+                                "least 3 (smaller ones repeat links)");
+        cap_nodes(w * h);
+        cap_links(2 * w * h);
+        return Topology::torus2d(static_cast<unsigned>(w),
+                                 static_cast<unsigned>(h));
     }
-    if (kind == "ring")
-        return Topology::ring(parse_uint(args));
-    if (kind == "star")
-        return Topology::star(parse_uint(args));
+    if (kind == "ring") {
+        const unsigned n = parse_uint(args);
+        require(n >= 3, "a ring needs at least 3 nodes");
+        cap_nodes(n);
+        return Topology::ring(n);
+    }
+    if (kind == "star") {
+        const unsigned leaves = parse_uint(args);
+        cap_nodes(leaves + std::uint64_t{1});
+        return Topology::star(leaves);
+    }
     if (kind == "min") {
-        const auto c = args.find(':');
-        if (c == std::string::npos)
-            mmr_fatal("'min' spec needs RADIX:STAGES: '", spec, "'");
-        return Topology::multistage(parse_uint(args.substr(0, c)),
-                                    parse_uint(args.substr(c + 1)));
+        const auto [radix, stages] = pair(':', "RADIX:STAGES");
+        require(radix >= 2, "a MIN radix must be at least 2");
+        require(stages >= 2, "a MIN needs at least 2 stages");
+        std::uint64_t width = 1;
+        for (std::uint64_t i = 1; i < stages && width <= kMaxTopologyNodes;
+             ++i)
+            width *= radix;
+        cap_nodes(width);
+        cap_nodes(stages * width);
+        cap_links((stages - 1) * width * radix);
+        return Topology::multistage(static_cast<unsigned>(radix),
+                                    static_cast<unsigned>(stages));
     }
-    if (kind == "fattree")
-        return Topology::fatTree(parse_uint(args));
+    if (kind == "fattree") {
+        const std::uint64_t radix = parse_uint(args);
+        require(radix >= 4 && radix % 2 == 0,
+                "a fat-tree radix must be even and at least 4");
+        cap_nodes(radix * radix / 4 + radix * radix);
+        cap_links(radix * radix * radix / 2);
+        return Topology::fatTree(static_cast<unsigned>(radix));
+    }
     if (kind == "leafspine") {
-        const auto c = args.find(':');
-        if (c == std::string::npos)
-            mmr_fatal("'leafspine' spec needs SPINES:LEAVES: '", spec,
-                      "'");
-        return Topology::leafSpine(parse_uint(args.substr(0, c)),
-                                   parse_uint(args.substr(c + 1)));
+        const auto [spines, leaves] = pair(':', "SPINES:LEAVES");
+        cap_nodes(spines + leaves);
+        cap_links(spines * leaves);
+        return Topology::leafSpine(static_cast<unsigned>(spines),
+                                   static_cast<unsigned>(leaves));
     }
     if (kind == "irregular") {
         const auto c1 = args.find(':');
@@ -89,6 +150,11 @@ topologyFromSpec(const std::string &spec, std::uint64_t seed)
         const unsigned extra =
             parse_uint(args.substr(c1 + 1, c2 - c1 - 1));
         const unsigned maxdeg = parse_uint(args.substr(c2 + 1));
+        require(n >= 2, "an irregular topology needs at least 2 nodes");
+        require(maxdeg >= 2, "an irregular degree bound must be at "
+                             "least 2");
+        cap_nodes(n);
+        cap_links(std::uint64_t{n} - 1 + extra);
         Rng trng(seed ^ 0x7090109fca17e5ULL);
         return Topology::irregular(n, extra, maxdeg, trng);
     }

@@ -32,10 +32,17 @@
 namespace mmr
 {
 
+/** Largest topology a spec may ask for (nodes, bidirectional links). */
+constexpr std::uint64_t kMaxTopologyNodes = 1u << 20;
+constexpr std::uint64_t kMaxTopologyLinks = 1u << 22;
+
 /**
  * Build a topology from a spec string: "mesh:4x4", "torus:4x4",
- * "ring:8", "star:8", or "irregular:N:EXTRA:MAXDEG" (randomized from
- * @p seed).  Fatal on malformed specs.
+ * "ring:8", "star:8", "min:RADIX:STAGES", "fattree:K",
+ * "leafspine:S:L" or "irregular:N:EXTRA:MAXDEG" (randomized from
+ * @p seed).  Numbers are plain positive decimals.  Fatal
+ * (std::runtime_error) on a malformed spec, a shape the builder
+ * cannot make, or one beyond kMaxTopologyNodes/kMaxTopologyLinks.
  */
 Topology topologyFromSpec(const std::string &spec, std::uint64_t seed);
 

@@ -91,12 +91,13 @@ MetricsRecorder::recordDeparture(ConnId conn, Cycle now,
 }
 
 void
-MetricsRecorder::recordLinkTransit(Cycle transit_cycles, Cycle now)
+MetricsRecorder::recordLinkTransits(Cycle transit_cycles,
+                                    std::uint64_t hops, Cycle now)
 {
     if (!measuring(now))
         return;
     stageHist[static_cast<std::size_t>(LatencyStage::LinkTransit)]
-        .record(transit_cycles);
+        .record(transit_cycles, hops);
 }
 
 void

@@ -94,8 +94,10 @@ class MetricsRecorder
                          TrafficClass klass = TrafficClass::BestEffort,
                          const StageSample *stages = nullptr);
 
-    /** One link hop's wire time (network mode; feeds LinkTransit). */
-    void recordLinkTransit(Cycle transit_cycles, Cycle now);
+    /** @p hops link hops of equal wire time (network mode; feeds
+     * LinkTransit). */
+    void recordLinkTransits(Cycle transit_cycles, std::uint64_t hops,
+                            Cycle now);
 
     /** Arm the per-class delay deadline; 0 disables the accounting. */
     void setQosBudget(TrafficClass klass, Cycle budget_cycles);

@@ -1,5 +1,8 @@
 #include "network/interface.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "base/logging.hh"
 #include "fault/recovery.hh"
 
@@ -33,6 +36,7 @@ NetworkInterface::openCbrStream(NodeId dst, double rate_bps,
         rate_bps, net.routerAt(host).config().linkRateBps, rng);
     streams.push_back(std::move(s));
     adoptStream(streams.back());
+    nextDue = 0.0;
     return true;
 }
 
@@ -60,6 +64,7 @@ NetworkInterface::openVbrStream(NodeId dst, const VbrProfile &profile,
                                            rc.flitBits, rng);
     streams.push_back(std::move(s));
     adoptStream(streams.back());
+    nextDue = 0.0;
     return true;
 }
 
@@ -103,6 +108,7 @@ NetworkInterface::openTraceStream(NodeId dst,
     s.source = std::move(source);
     streams.push_back(std::move(s));
     adoptStream(streams.back());
+    nextDue = 0.0;
     return true;
 }
 
@@ -197,46 +203,38 @@ NetworkInterface::addBestEffortFlow(NodeId dst, double rate_bps)
     flow.source = std::make_unique<PoissonSource>(
         rate_bps, net.routerAt(host).config().linkRateBps, rng);
     beFlows.push_back(std::move(flow));
+    nextDue = 0.0;
+}
+
+bool
+NetworkInterface::streamOpen(Stream &s)
+{
+    // A live ticket implies Open (it dies on failure, close and slot
+    // free); Open without a live ticket is a closing connection, or a
+    // ticket never minted or minted for a replaced connection.
+    if (net.injectTicketLive(s.ticketSlot, s.ticketEpoch))
+        return true;
+    if (net.connectionState(s.conn) != Network::ConnState::Open)
+        return false;
+    net.injectTicket(s.conn, s.ticketSlot, s.ticketEpoch);
+    return true;
 }
 
 void
-NetworkInterface::tick(Cycle now)
+NetworkInterface::pollStream(Stream &s, Cycle now)
 {
-    // Streams whose connection died (link failure) are recovered or
-    // retired before any injection work.
-    for (std::size_t i = 0; i < streams.size();) {
-        Stream &s = streams[i];
-        if (!s.recovering &&
-            net.connectionState(s.conn) == Network::ConnState::Open) {
-            ++i;
-            continue;
-        }
-        const bool survives =
-            recovery ? pollRecovery(s) : recoverStream(s);
-        if (survives) {
-            ++i;
-        } else {
-            streams.erase(streams.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-        }
-    }
-
-    for (Stream &s : streams) {
-        if (s.recovering) {
-            // Graceful degradation while the RecoveryManager searches
-            // for a replacement path: the source keeps producing (so
-            // its random stream stays aligned) but nothing can be
-            // injected; the discards are accounted, never wedged.
-            droppedInRecovery += s.source->arrivals(now);
-            continue;
-        }
-        const unsigned n = s.source->arrivals(now);
-        if (n == 0 && s.backlog.empty())
-            continue; // idle cycle: skip the endpoint resolution
-        // Flit-batch processing per (port, VC): every flit this
-        // stream sends this cycle lands in the same input FIFO, so
-        // the connection-map lookups are paid once per (stream,
-        // cycle) instead of once per flit.
+    const unsigned n = s.source->arrivals(now);
+    if (s.recovering) {
+        // Graceful degradation while the RecoveryManager searches for
+        // a replacement path: the source keeps producing (so its
+        // random stream stays aligned) but nothing can be injected;
+        // the discards are accounted, never wedged.
+        droppedInRecovery += n;
+    } else if (n > 0 || !s.backlog.empty()) {
+        // Flit-batch processing per (port, VC): every flit this stream
+        // sends this cycle lands in the same input FIFO, so the
+        // connection-map lookups are paid once per (stream, cycle)
+        // instead of once per flit.
         Network::InjectHandle ep = net.resolveInject(s.conn);
         // Drain the back-pressure backlog first, preserving order.
         while (!s.backlog.empty()) {
@@ -255,13 +253,57 @@ NetworkInterface::tick(Cycle now)
                 ++injected;
         }
     }
-    for (BeFlow &flow : beFlows) {
-        const unsigned n = flow.source->arrivals(now);
-        for (unsigned k = 0; k < n; ++k) {
-            net.sendDatagram(host, flow.dst, TrafficClass::BestEffort,
-                             flow.flow, now, flow.seq++);
-            ++injected;
+    s.nextDue = s.backlog.empty() ? s.source->nextDueCycle() : 0.0;
+}
+
+void
+NetworkInterface::tick(Cycle now)
+{
+    // Streams whose connection died (link failure) are recovered or
+    // retired before any injection work.  With no stream recovering
+    // and no ticket retired anywhere since the last sweep, every
+    // stream would read as it did then, so the sweep is skipped.
+    if (recoveringStreams > 0 || seenTicketGen != net.ticketGeneration()) {
+        recoveringStreams = 0;
+        for (std::size_t i = 0; i < streams.size();) {
+            Stream &s = streams[i];
+            if (!s.recovering && streamOpen(s)) {
+                ++i;
+                continue;
+            }
+            const bool survives =
+                recovery ? pollRecovery(s) : recoverStream(s);
+            if (survives) {
+                recoveringStreams += s.recovering ? 1 : 0;
+                ++i;
+            } else {
+                streams.erase(streams.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+            }
         }
+        seenTicketGen = net.ticketGeneration();
+    }
+
+    const double t = static_cast<double>(now);
+    if (t < nextDue)
+        return; // no stream or flow has work this cycle
+    nextDue = std::numeric_limits<double>::infinity();
+    for (Stream &s : streams) {
+        if (t >= s.nextDue)
+            pollStream(s, now);
+        nextDue = std::min(nextDue, s.nextDue);
+    }
+    for (BeFlow &flow : beFlows) {
+        if (t >= flow.nextDue) {
+            const unsigned n = flow.source->arrivals(now);
+            flow.nextDue = flow.source->nextDueCycle();
+            for (unsigned k = 0; k < n; ++k) {
+                net.sendDatagram(host, flow.dst, TrafficClass::BestEffort,
+                                 flow.flow, now, flow.seq++);
+                ++injected;
+            }
+        }
+        nextDue = std::min(nextDue, flow.nextDue);
     }
 }
 

@@ -105,7 +105,22 @@ class NetworkInterface
   private:
     struct Stream
     {
+        // Read for every stream every cycle, so kept together at the
+        // front: the rest of the record is touched only when the
+        // stream has work.
+        /**
+         * First cycle with work: the source's nextDueCycle() while the
+         * backlog is empty (arrivals() is a side-effect-free zero
+         * before it, by the TrafficSource contract), 0 while a
+         * backlog waits.
+         */
+        double nextDue = 0.0;
+        /** Injection ticket of conn; the default slot reads dead. */
+        std::uint32_t ticketSlot = ~0u;
+        std::uint32_t ticketEpoch = 0;
         ConnId conn;
+        /** Waiting on the RecoveryManager for a replacement path. */
+        bool recovering = false;
         NodeId dst = kInvalidNode;
         double rateBps = 0.0; ///< for re-establishment after failure
         bool isVbr = false;
@@ -114,9 +129,18 @@ class NetworkInterface
         std::unique_ptr<TrafficSource> source;
         std::deque<Flit> backlog; ///< flits refused by the router
         std::uint32_t seq = 0;
-        /** Waiting on the RecoveryManager for a replacement path. */
-        bool recovering = false;
     };
+
+    /**
+     * True while @p s's connection is open (Network::ConnState::Open).
+     * A live ticket answers with one array read; a dead one falls
+     * back to the connection-state lookup and re-mints the ticket.
+     */
+    bool streamOpen(Stream &s);
+
+    /** One due stream's cycle: poll its source, inject or drop the
+     * arrivals, drain its backlog, and set its next due cycle. */
+    void pollStream(Stream &s, Cycle now);
 
     /** Handle a stream whose connection failed; true when replaced. */
     bool recoverStream(Stream &s);
@@ -137,9 +161,17 @@ class NetworkInterface
         ConnId flow;
         std::unique_ptr<PoissonSource> source;
         std::uint32_t seq = 0;
+        double nextDue = 0.0; ///< cached source->nextDueCycle()
     };
 
     Network &net;
+    // Read by every tick, so kept on the object's first cache line.
+    /** Earliest Stream::nextDue / BeFlow::nextDue: before it, tick()
+     * has no injection work. */
+    double nextDue = 0.0;
+    /** Network::ticketGeneration() at the last liveness sweep. */
+    std::uint64_t seenTicketGen = ~std::uint64_t{0};
+    unsigned recoveringStreams = 0; ///< as of the last liveness sweep
     NodeId host;
     Rng rng;
     std::vector<Stream> streams;

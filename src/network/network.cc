@@ -35,7 +35,9 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
         for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
             shardOf[n] = s;
     mailboxes = std::vector<ShardMailbox>(numShards);
+    inboxes = std::vector<ShardInbox>(numShards);
     pool = std::make_unique<ShardPool>(numShards);
+    arrivePhase = [this](unsigned s) { applyInbox(s); };
     evalPhase = [this](unsigned s) {
         for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
             routers[n]->evaluate(phaseCycle);
@@ -108,28 +110,34 @@ Network::failLink(NodeId a, NodeId b)
     linkDown[a][pa] = true;
     linkDown[b][pb] = true;
 
-    // Flits already in flight on the dead link are lost; return their
-    // credits so the upstream VC is not wedged forever.  In-place
-    // compaction preserves FIFO order of the survivors.
-    std::size_t kept = 0;
-    for (LinkFlit &lf : linkQueue) {
-        const bool on_dead_link =
-            (lf.toNode == b && lf.toPort == pb) ||
-            (lf.toNode == a && lf.toPort == pa);
-        if (!on_dead_link) {
-            linkQueue[kept++] = std::move(lf);
-            continue;
+    // Flits already in flight on the dead link — in the serial queue
+    // or in a shard inbox — are lost; return their credits so the
+    // upstream VC is not wedged forever.  In-place compaction
+    // preserves the FIFO order of the survivors.
+    const auto purge = [&](std::vector<LinkFlit> &queue) {
+        std::size_t kept = 0;
+        for (LinkFlit &lf : queue) {
+            const bool on_dead_link =
+                (lf.toNode == b && lf.toPort == pb) ||
+                (lf.toNode == a && lf.toPort == pa);
+            if (!on_dead_link) {
+                queue[kept++] = std::move(lf);
+                continue;
+            }
+            ++statLostFlits;
+            if (!lf.flit.isStream())
+                ++statDatagramsLost;
+            const NodeId upstream = lf.toNode == b ? a : b;
+            const PortId up_port = lf.toNode == b ? pa : pb;
+            routers[upstream]->credits().replenish(up_port, lf.vc);
+            if (!lf.flit.isStream())
+                routers[upstream]->routing().freeOutputVc(up_port, lf.vc);
         }
-        ++statLostFlits;
-        if (!lf.flit.isStream())
-            ++statDatagramsLost;
-        const NodeId upstream = lf.toNode == b ? a : b;
-        const PortId up_port = lf.toNode == b ? pa : pb;
-        routers[upstream]->credits().replenish(up_port, lf.vc);
-        if (!lf.flit.isStream())
-            routers[upstream]->routing().freeOutputVc(up_port, lf.vc);
-    }
-    linkQueue.resize(kept);
+        queue.resize(kept);
+    };
+    purge(linkQueue);
+    for (ShardInbox &box : inboxes)
+        purge(box.flits);
 
     // Mark and start draining every connection whose path crosses the
     // link, in either direction.  The ids are snapshotted and sorted
@@ -154,7 +162,7 @@ Network::failLink(NodeId a, NodeId b)
     for (const ConnId id : crossing) {
         PcsConnection &conn = *pcsFind(id);
         conn.failed = true;
-        ++conn.epoch; // kill outstanding injection tickets
+        retireTickets(conn);
         if (!conn.closing) {
             conn.closing = true;
             closingIds.push_back(id);
@@ -242,12 +250,12 @@ Network::wireRouter(NodeId n)
     routers[n]->setSink(
         [this, n, shard](PortId out, VcId out_vc, const Flit &f, Cycle) {
             mailboxes[shard].log.push_back(
-                {DeferredEvent::Kind::Egress, n, out, out_vc, f, {}});
+                {DeferredEvent::Kind::Egress, n, out, out_vc, f});
         });
     routers[n]->setCreditReturn(
         [this, n, shard](PortId in, VcId vc, Cycle) {
             mailboxes[shard].log.push_back(
-                {DeferredEvent::Kind::Credit, n, in, vc, {}, {}});
+                {DeferredEvent::Kind::Credit, n, in, vc, {}});
         });
     routers[n]->setSegmentRemoved(
         [this, n, shard](const SegmentParams &seg) {
@@ -260,21 +268,22 @@ Network::wireRouter(NodeId n)
             // buffer is still occupied).
             if (!seg.releaseWhenEmpty || seg.in >= topo.degree(n))
                 return;
-            mailboxes[shard].log.push_back({DeferredEvent::Kind::SegRemoved,
-                                            n, seg.in, seg.inVc, {}, seg});
+            mailboxes[shard].log.push_back(
+                {DeferredEvent::Kind::SegRemoved, n, seg.in, seg.inVc, {}});
         });
 }
 
 void
-Network::handleSegmentRemoved(NodeId n, const SegmentParams &seg)
+Network::handleSegmentRemoved(NodeId n, PortId in, VcId in_vc)
 {
-    const NodeId upstream = topo.neighborAt(n, seg.in);
+    const NodeId upstream = topo.neighborAt(n, in);
     const PortId up_port = topo.portTowards(upstream, n);
-    routers[upstream]->routing().freeOutputVc(up_port, seg.inVc);
+    routers[upstream]->routing().freeOutputVc(up_port, in_vc);
 }
 
-// mmr-lint: allow(hot-path-alloc) amortized: linkQueue is a member
-// vector whose capacity persists at the in-flight high-water mark.
+// mmr-lint: allow(hot-path-alloc) amortized: linkQueue and the
+// inbox vectors are members whose capacity persists at the in-flight
+// high-water mark.
 void
 Network::handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
                       Cycle now)
@@ -283,7 +292,7 @@ Network::handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
         deliverToHost(n, f, now);
         // The host consumes immediately: return the NI credit.
         if (out_vc != kInvalidVc)
-            routers[n]->credits().replenish(out, out_vc);
+            inboxes[shardOf[n]].credits.push_back({n, out, out_vc});
         return;
     }
     if (!directedLinkUp(n, out)) {
@@ -311,18 +320,28 @@ Network::handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
     // occupies the link; the downstream CRC check discards it.
     if (corruptHook && corruptHook(n, out, f))
         lf.flit.corrupted = true;
-    linkQueue.push_back(std::move(lf));
+    // An intact stream flit follows its installed segment and touches
+    // only the downstream router: its owning shard deposits it.
+    // Everything else needs the serial network-wide view.
+    if (lf.flit.isStream() && !lf.flit.corrupted)
+        inboxes[shardOf[lf.toNode]].flits.push_back(std::move(lf));
+    else
+        linkQueue.push_back(std::move(lf));
 }
 
+// mmr-lint: allow(hot-path-alloc) amortized: the inbox credit vectors
+// are members whose capacity persists across cycles.
 void
 Network::handleCreditReturn(NodeId n, PortId in, VcId vc, Cycle now)
 {
     (void)now;
     if (in >= topo.degree(n))
         return; // NI-side injection is limited by deposit space
-    const NodeId upstream = topo.neighborAt(n, in);
-    const PortId up_port = topo.portTowards(upstream, n);
-    routers[upstream]->credits().replenish(up_port, vc);
+    // Links are simple (no parallel edges), so the port the flit came
+    // in on names the upstream end exactly.
+    const auto &link = topo.ports(n)[in];
+    inboxes[shardOf[link.neighbor]].credits.push_back(
+        {link.neighbor, link.remotePort, vc});
 }
 
 void
@@ -625,7 +644,7 @@ Network::closeConnection(ConnId id)
         return false;
     if (!conn->closing) {
         conn->closing = true;
-        ++conn->epoch; // kill outstanding injection tickets
+        retireTickets(*conn);
         // mmr-lint: allow(hot-path-alloc) amortized: closingIds is a
         // member; its capacity persists across cycles.
         closingIds.push_back(id);
@@ -641,6 +660,13 @@ Network::processPendingCloses()
     // empty-check instead of a scan of every open connection.
     if (closingIds.empty())
         return;
+    // Closes run after this cycle's arrivals, and every flit on a
+    // link arrives the cycle after it left: none is between routers,
+    // so a drained path is a drained connection.
+    mmr_assert(linkQueue.empty(), "link flits in flight during closes");
+    for (const ShardInbox &box : inboxes)
+        mmr_assert(box.flits.empty(), "inbox flits in flight during "
+                                      "closes");
     // Teardown order is observable (credits return and output VCs free
     // as segments are removed), so walk the closing connections in
     // ascending id order.  Undrained connections stay on the list for
@@ -661,15 +687,6 @@ Network::processPendingCloses()
                 break;
             }
         }
-        // A flit can be between routers: in flight on a link.
-        if (drained) {
-            for (const LinkFlit &lf : linkQueue) {
-                if (lf.flit.conn == conn.id) {
-                    drained = false;
-                    break;
-                }
-            }
-        }
         if (!drained) {
             closingIds[kept++] = id;
             continue;
@@ -677,7 +694,7 @@ Network::processPendingCloses()
         for (const ReservedHop &hop : conn.hops)
             routers[hop.node]->removeSegment(conn.id);
         conn.live = false;
-        ++conn.epoch; // a reused slot must not revive stale tickets
+        retireTickets(conn); // a reused slot must not revive them
         conn.hops.clear();
         // mmr-lint: allow(hot-path-alloc) amortized: free list grows
         // to the connection high-water mark, then recycles.
@@ -865,7 +882,7 @@ Network::placeDatagram(PendingArrival &p, Cycle now)
     if (p.node == p.flit.dst) {
         out = niPort(p.node);
     } else {
-        // Adaptive up*-down*: try legal hops, closest-first.
+        // Adaptive up*-down*: try legal hops, the adaptive pick first.
         const NodeId pick = updownRoutes->adaptiveNextHop(
             p.node, p.flit.dst, p.flit.downPhase, rand);
         if (pick == kInvalidNode) {
@@ -884,12 +901,16 @@ Network::placeDatagram(PendingArrival &p, Cycle now)
                      " has no legal route; dropping");
             return true; // consumed (dropped)
         }
-        std::vector<NodeId> hops = updownRoutes->legalNextHops(
-            p.node, p.flit.dst, p.flit.downPhase);
-        // Put the adaptive pick first, keep the rest as fallbacks.
-        std::stable_partition(hops.begin(), hops.end(),
-                              [pick](NodeId h) { return h == pick; });
-        for (NodeId h : hops) {
+        updownRoutes->legalNextHops(p.node, p.flit.dst, p.flit.downPhase,
+                                    hopScratch);
+        // Put the adaptive pick first, keep the rest (in port order)
+        // as fallbacks.
+        const auto picked =
+            std::find(hopScratch.begin(), hopScratch.end(), pick);
+        mmr_assert(picked != hopScratch.end(),
+                   "adaptive pick is not a legal hop");
+        std::rotate(hopScratch.begin(), picked, picked + 1);
+        for (NodeId h : hopScratch) {
             const PortId port = topo.portTowards(p.node, h);
             if (router.routing().freeOutputVcCount(port) > 0) {
                 out = port;
@@ -955,23 +976,17 @@ Network::placeDatagram(PendingArrival &p, Cycle now)
     return true;
 }
 
-// mmr-lint: allow(hot-path-alloc) amortized: linkQueueNext and
-// pendingArrivals are members; their capacity persists across cycles,
-// so steady state recycles buffers instead of churning deque blocks.
-void
+// mmr-lint: allow(hot-path-alloc) amortized: pendingArrivals is a
+// member; its capacity persists across cycles.
+std::uint64_t
 Network::processArrivals(Cycle now)
 {
-    // Link flits whose latency has elapsed enter the downstream
-    // router: stream flits follow their installed segment; datagrams
-    // claim next-hop resources.  Not-yet-due flits are kept, in FIFO
-    // order, by compacting into the swap buffer.
-    linkQueueNext.clear();
-    for (LinkFlit &qf : linkQueue) {
-        LinkFlit lf = std::move(qf);
-        if (lf.arriveAt > now) {
-            linkQueueNext.push_back(std::move(lf));
-            continue;
-        }
+    // Every queued flit left its router last cycle, so all are due
+    // now: the queue empties every cycle.
+    std::uint64_t transits = 0;
+    for (const LinkFlit &lf : linkQueue) {
+        mmr_assert(lf.arriveAt == now, "link flit due at cycle ",
+                   lf.arriveAt, " found at ", now);
         // CRC check at the input: a flit corrupted on the wire is
         // discarded with accounting.  The upstream credit returns so
         // the VC is not wedged; a datagram additionally releases the
@@ -990,26 +1005,19 @@ Network::processArrivals(Cycle now)
                           static_cast<std::int32_t>(lf.flit.src));
             continue;
         }
-        Flit f = lf.flit;
-        f.readyTime = now;
-        // Wire time of this hop (latency plus any cycles spent parked
-        // behind same-cycle arrivals): the LinkTransit latency stage.
-        e2e.recordLinkTransit(kLinkLatency + (now - lf.arriveAt),
-                              now);
-        if (f.isStream()) {
-            if (!routers[lf.toNode]->injectRaw(lf.toPort, lf.vc, f))
-                ++statInjectRejects;
-            continue;
-        }
+        mmr_assert(!lf.flit.isStream(),
+                   "intact stream flit on the serial link queue");
+        ++transits;
         PendingArrival p;
         p.node = lf.toNode;
         p.inPort = lf.toPort;
         p.inVc = lf.vc;
-        p.flit = f;
+        p.flit = lf.flit;
+        p.flit.readyTime = now;
         if (!placeDatagram(p, now))
             pendingArrivals.push_back(std::move(p));
     }
-    linkQueue.swap(linkQueueNext);
+    linkQueue.clear();
 
     // Retry every blocked datagram — those parked on earlier cycles
     // and those that just failed above — compacting the still-blocked
@@ -1025,6 +1033,7 @@ Network::processArrivals(Cycle now)
         pendingArrivals.erase(
             pendingArrivals.begin() + static_cast<std::ptrdiff_t>(kept),
             pendingArrivals.begin() + static_cast<std::ptrdiff_t>(n));
+    return transits;
 }
 
 // ---------------------------------------------------------------------
@@ -1034,14 +1043,44 @@ Network::processArrivals(Cycle now)
 void
 Network::evaluate(Cycle now)
 {
-    // Serial prologue on the coordinator: the probe protocol, link
-    // arrivals, and pending closes all run before any router
-    // evaluates, so routers never observe partial prologue state
-    // from a worker thread.
+    // Prologue: the probe protocol and the serial arrivals on the
+    // coordinator, then the arrival phase on the shards, then pending
+    // closes — all before any router evaluates.  Arrivals land
+    // before closes, and a router sees the same deposits and credits
+    // whichever thread applied them (DESIGN.md §12).
     probeMgr->step(now);
-    processArrivals(now);
+    std::uint64_t transits = processArrivals(now);
+    runPhase(now, arrivePhase);
+    for (ShardInbox &box : inboxes) {
+        transits += box.transits;
+        statInjectRejects += box.rejects;
+        box.transits = 0;
+        box.rejects = 0;
+    }
+    // Wire time of each hop: the LinkTransit latency stage, one count
+    // per intact arrival (an integer histogram, so the fold order
+    // cannot matter).
+    e2e.recordLinkTransits(kLinkLatency, transits, now);
     processPendingCloses();
     runPhase(now, evalPhase);
+}
+
+void
+Network::applyInbox(unsigned s)
+{
+    ShardInbox &box = inboxes[s];
+    for (const CreditReturn &c : box.credits)
+        routers[c.node]->credits().replenish(c.port, c.vc);
+    box.credits.clear();
+    for (LinkFlit &lf : box.flits) {
+        mmr_assert(lf.arriveAt == phaseCycle, "link flit due at cycle ",
+                   lf.arriveAt, " found at ", phaseCycle);
+        lf.flit.readyTime = phaseCycle;
+        if (!routers[lf.toNode]->injectRaw(lf.toPort, lf.vc, lf.flit))
+            ++box.rejects;
+    }
+    box.transits = box.flits.size();
+    box.flits.clear();
 }
 
 void
@@ -1082,7 +1121,7 @@ Network::drainMailboxes(Cycle now)
                 handleCreditReturn(e.node, e.port, e.vc, now);
                 break;
             case DeferredEvent::Kind::SegRemoved:
-                handleSegmentRemoved(e.node, e.seg);
+                handleSegmentRemoved(e.node, e.port, e.vc);
                 break;
             }
         }
@@ -1175,7 +1214,10 @@ Network::registerStats(StatsRegistry &reg, MmrRouter::StatsDetail detail)
         return static_cast<double>(probeMgr->inFlight());
     });
     reg.addGauge("net.link_queue.depth", [this] {
-        return static_cast<double>(linkQueue.size());
+        std::size_t depth = linkQueue.size();
+        for (const ShardInbox &box : inboxes)
+            depth += box.flits.size();
+        return static_cast<double>(depth);
     });
     reg.addGauge("net.datagrams.pending", [this] {
         return static_cast<double>(pendingArrivals.size());

@@ -221,6 +221,14 @@ class Network : public Clocked
     }
 
     /**
+     * Bumped with every ticket epoch (failure, close, slot free).
+     * While it reads as before, every connection's state as seen by
+     * injectTicketLive() and connectionState() is unchanged, so a
+     * host holding many tickets can skip re-checking them one by one.
+     */
+    std::uint64_t ticketGeneration() const { return ticketGen; }
+
+    /**
      * Renegotiate a CBR connection's bandwidth along its whole path
      * (§4.3 control words); rolls back on any per-hop failure.
      */
@@ -405,7 +413,7 @@ class Network : public Clocked
         PortId toPort;
         VcId vc;
         Flit flit;
-        Cycle arriveAt;
+        Cycle arriveAt; ///< always the cycle after its emission
     };
 
     /** A datagram that could not claim its next-hop resources yet. */
@@ -421,7 +429,7 @@ class Network : public Clocked
     void handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
                       Cycle now);
     void handleCreditReturn(NodeId n, PortId in, VcId vc, Cycle now);
-    void handleSegmentRemoved(NodeId n, const SegmentParams &seg);
+    void handleSegmentRemoved(NodeId n, PortId in, VcId in_vc);
     void deliverToHost(NodeId n, const Flit &f, Cycle now);
 
     // ------------------------------------------------------------------
@@ -451,10 +459,9 @@ class Network : public Clocked
 
         Kind kind;
         NodeId node;
-        PortId port; ///< Egress: out port; Credit: in port
-        VcId vc;     ///< Egress: out VC;   Credit: in VC
+        PortId port; ///< Egress: out port; Credit, SegRemoved: in port
+        VcId vc;     ///< Egress: out VC;   Credit, SegRemoved: in VC
         Flit flit;   ///< Egress only
-        SegmentParams seg; ///< SegRemoved only
     };
 
     /** Per-shard deferred-event log, cache-line padded: neighboring
@@ -465,6 +472,33 @@ class Network : public Clocked
         std::vector<DeferredEvent> log;
     };
 
+    /** A credit on its way back to the router that sent the flit,
+     * the upstream end of the link, where it refills the counter of
+     * (output port, VC). */
+    struct CreditReturn
+    {
+        NodeId node;
+        PortId port; ///< output port at @p node
+        VcId vc;
+    };
+
+    /**
+     * Per-shard arrival inbox: the data-plane work of a link that
+     * lands on this shard's routers.  The coordinator fills it while
+     * draining the mailboxes; the owning shard empties it in the next
+     * evaluate's arrival phase, so a credit and an uncorrupted stream
+     * flit only ever touch the router at their own end of the link on
+     * the thread that owns it.  The shard counts what it applied; the
+     * coordinator folds the counts in after the phase.
+     */
+    struct alignas(64) ShardInbox
+    {
+        std::vector<CreditReturn> credits;
+        std::vector<LinkFlit> flits; ///< uncorrupted stream flits only
+        std::uint64_t transits = 0;  ///< flits applied this phase
+        std::uint64_t rejects = 0;   ///< of those, refused by a full VC
+    };
+
     /** Run @p phase on every shard, then drain the mailboxes. */
     MMR_HOT_PATH void runPhase(Cycle now,
                                const std::function<void(unsigned)> &phase);
@@ -472,13 +506,18 @@ class Network : public Clocked
     /** Replay every mailbox in (shard, emission) order, then clear. */
     MMR_HOT_PATH void drainMailboxes(Cycle now);
 
+    /** Arrival phase body: apply shard @p s's inbox, then clear it. */
+    MMR_HOT_PATH void applyInbox(unsigned s);
+
     unsigned numShards = 1;
     std::vector<NodeId> shardStart; ///< numShards+1 fenceposts
     std::vector<unsigned> shardOf;  ///< node id -> shard id
     std::vector<ShardMailbox> mailboxes;
+    std::vector<ShardInbox> inboxes;
     std::unique_ptr<ShardPool> pool;
 
     /** Pre-bound phase callbacks (no per-cycle allocation). */
+    std::function<void(unsigned)> arrivePhase;
     std::function<void(unsigned)> evalPhase;
     std::function<void(unsigned)> advPhase;
     Cycle phaseCycle = 0;
@@ -491,7 +530,13 @@ class Network : public Clocked
      */
     bool placeDatagram(PendingArrival &p, Cycle now);
 
-    void processArrivals(Cycle now);
+    /**
+     * The serial arrivals: datagrams (whose routing draws from the
+     * shared RNG) and corrupted flits (whose discard frees state at
+     * the far end of the link), then every blocked datagram's retry.
+     * Returns the number of flits that crossed a link intact.
+     */
+    std::uint64_t processArrivals(Cycle now);
     void processPendingCloses();
 
     /**
@@ -551,15 +596,27 @@ class Network : public Clocked
     PcsConnection *pcsFind(ConnId id);
     const PcsConnection *pcsFind(ConnId id) const;
 
+    /** Kill every outstanding injection ticket of @p conn. */
+    void
+    retireTickets(PcsConnection &conn)
+    {
+        ++conn.epoch;
+        ++ticketGen;
+    }
+    std::uint64_t ticketGen = 0; ///< see ticketGeneration()
+
     ConnId nextPcsId = 0x100000;   ///< global PCS connection ids
     ConnId nextTransient = 0x8000000; ///< per-packet segment ids
 
-    /** In-flight link flits (FIFO by emission; processArrivals keeps
-     * not-yet-due flits by compacting into linkQueueNext and
-     * swapping, so steady state recycles both buffers). */
+    /** In-flight datagrams and corrupted flits, in emission order;
+     * every one is due at the next evaluate (kLinkLatency is one
+     * cycle), which empties the queue.  Uncorrupted stream flits
+     * travel in the shard inboxes instead. */
     std::vector<LinkFlit> linkQueue;
-    std::vector<LinkFlit> linkQueueNext;
     std::vector<PendingArrival> pendingArrivals;
+
+    /** placeDatagram()'s legal-hop scratch (capacity persists). */
+    std::vector<NodeId> hopScratch;
 
     /**
      * Ids of connections with closing set, maintained incrementally

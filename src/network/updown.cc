@@ -122,65 +122,74 @@ UpDownRouting::phaseDistances(NodeId dst) const
     return dist;
 }
 
-// mmr-lint: allow(hot-path-alloc) per-datagram route enumeration,
-// bounded by the port count; the CBR/VBR stream path never comes here.
-std::vector<NodeId>
-UpDownRouting::legalNextHops(NodeId at, NodeId dst, bool down_phase) const
+const std::vector<unsigned> &
+UpDownRouting::distancesTo(NodeId dst) const
 {
     if (distCache[dst].empty())
         distCache[dst] = phaseDistances(dst);
-    const auto &dist = distCache[dst];
-
-    std::vector<NodeId> hops;
-    for (const auto &p : topo.ports(at)) {
-        const NodeId m = p.neighbor;
-        if (!linkOk(at, m))
-            continue;
-        const bool up = isUp(at, m);
-        if (down_phase && up)
-            continue; // up after down is illegal
-        const unsigned next_phase = up ? (down_phase ? 1 : 0) : 1;
-        if (dist[m * 2 + next_phase] != kInf || m == dst)
-            hops.push_back(m);
-    }
-    return hops;
+    return distCache[dst];
 }
 
-// mmr-lint: allow(hot-path-alloc) per-datagram tie vector, bounded by
-// the port count; the CBR/VBR stream path never comes here.
+unsigned
+UpDownRouting::hopDistance(NodeId at, NodeId m, bool down_phase,
+                           const std::vector<unsigned> &dist) const
+{
+    if (!linkOk(at, m))
+        return kInf;
+    const bool up = isUp(at, m);
+    if (down_phase && up)
+        return kInf; // up after down is illegal
+    const unsigned next_phase = up ? (down_phase ? 1u : 0u) : 1u;
+    return dist[m * 2 + next_phase];
+}
+
+// mmr-lint: allow(hot-path-alloc) amortized: @p hops is caller-owned
+// scratch whose capacity persists, bounded by the port count.
+void
+UpDownRouting::legalNextHops(NodeId at, NodeId dst, bool down_phase,
+                             std::vector<NodeId> &hops) const
+{
+    const auto &dist = distancesTo(dst);
+    hops.clear();
+    // The destination itself is at distance 0 in both phases, so a
+    // finite distance is exactly "legal and still routable".
+    for (const auto &p : topo.ports(at))
+        if (hopDistance(at, p.neighbor, down_phase, dist) != kInf)
+            hops.push_back(p.neighbor);
+}
+
 NodeId
 UpDownRouting::adaptiveNextHop(NodeId at, NodeId dst, bool down_phase,
                                Rng &rng) const
 {
     if (at == dst)
         return dst;
-    if (distCache[dst].empty())
-        distCache[dst] = phaseDistances(dst);
-    const auto &dist = distCache[dst];
+    const auto &dist = distancesTo(dst);
 
+    // Two passes, no tie vector: count the closest legal hops, draw
+    // one index, then walk to it.
     unsigned best = kInf;
-    std::vector<NodeId> ties;
+    std::uint64_t ties = 0;
     for (const auto &p : topo.ports(at)) {
-        const NodeId m = p.neighbor;
-        if (!linkOk(at, m))
-            continue;
-        const bool up = isUp(at, m);
-        if (down_phase && up)
-            continue;
-        const unsigned next_phase = up ? (down_phase ? 1u : 0u) : 1u;
-        const unsigned d = dist[m * 2 + next_phase];
+        const unsigned d = hopDistance(at, p.neighbor, down_phase, dist);
         if (d == kInf)
             continue;
         if (d < best) {
             best = d;
-            ties.clear();
+            ties = 0;
         }
         if (d == best)
-            ties.push_back(m);
+            ++ties;
     }
-    if (ties.empty())
+    if (ties == 0)
         return kInvalidNode;
-    return ties[rng.below(ties.size())];
+    std::uint64_t k = rng.below(ties);
+    for (const auto &p : topo.ports(at)) {
+        if (hopDistance(at, p.neighbor, down_phase, dist) == best &&
+            k-- == 0)
+            return p.neighbor;
+    }
+    mmr_panic("adaptive tie walk ran past its count");
 }
 
 bool
@@ -188,9 +197,7 @@ UpDownRouting::reachable(NodeId at, NodeId dst, bool down_phase) const
 {
     if (at == dst)
         return true;
-    if (distCache[dst].empty())
-        distCache[dst] = phaseDistances(dst);
-    return distCache[dst][at * 2 + (down_phase ? 1 : 0)] != kInf;
+    return distancesTo(dst)[at * 2 + (down_phase ? 1 : 0)] != kInf;
 }
 
 } // namespace mmr

@@ -50,12 +50,14 @@ class UpDownRouting
     bool isUp(NodeId from, NodeId to) const;
 
     /**
-     * Legal next hops from @p at toward @p dst.
+     * Legal next hops from @p at toward @p dst, in port order.
      * @param down_phase true once the packet has used a down link
-     * @return neighbor nodes reachable without violating up*-down*
+     * @param hops caller-owned scratch, cleared and filled with the
+     *        neighbor nodes reachable without violating up*-down*
+     *        (a warm caller allocates nothing)
      */
-    std::vector<NodeId> legalNextHops(NodeId at, NodeId dst,
-                                      bool down_phase) const;
+    void legalNextHops(NodeId at, NodeId dst, bool down_phase,
+                       std::vector<NodeId> &hops) const;
 
     /**
      * Adaptive choice: a profitable (distance-reducing) legal hop if
@@ -78,6 +80,17 @@ class UpDownRouting
   private:
     /** Distance to dst honoring the up*-down* phase automaton. */
     std::vector<unsigned> phaseDistances(NodeId dst) const;
+
+    /** The cached phaseDistances() of @p dst, computed on first use. */
+    const std::vector<unsigned> &distancesTo(NodeId dst) const;
+
+    /**
+     * Remaining distance to the destination of @p dist after the hop
+     * at -> m; UINT_MAX when the link is down, the hop would go up
+     * after down, or the destination is unreachable from there.
+     */
+    unsigned hopDistance(NodeId at, NodeId m, bool down_phase,
+                         const std::vector<unsigned> &dist) const;
 
     bool linkOk(NodeId a, NodeId b) const
     {

@@ -111,11 +111,16 @@ class LatencyHistogram
     static std::uint64_t bucketLowerBound(std::size_t index);
 
     /** O(1), allocation-free: bit ops + two increments. */
+    MMR_HOT_PATH void record(std::uint64_t v) { record(v, 1); }
+
+    /** @p n samples of value @p v at once; n == 0 records nothing. */
     MMR_HOT_PATH void
-    record(std::uint64_t v)
+    record(std::uint64_t v, std::uint64_t n)
     {
-        ++counts[bucketIndex(v)];
-        ++total;
+        if (n == 0)
+            return;
+        counts[bucketIndex(v)] += n;
+        total += n;
         if (v > maxSeen)
             maxSeen = v;
         if (v < minSeen)

@@ -85,6 +85,10 @@ class LinkScheduler
      */
     BitVector eligibleMask(Cycle now, const CreditManager &credits) const;
 
+    /** The cached mask as of the last collect (tests: it must equal
+     * eligibleMask() until the next mutation). */
+    const BitVector &cachedEligibleMask() const { return eligMask; }
+
     /** Rounds completed so far. */
     std::uint64_t roundCount() const { return rounds; }
 

@@ -507,6 +507,13 @@ MmrRouter::evaluate(Cycle now)
 
     for (PortId p = 0; p < cfg.numPorts; ++p) {
         candScratch[p].clear();
+        // An empty port offers no candidate.  Skipping its scheduler
+        // is exact: its dirty bits and the credit version keep
+        // accumulating, and the next collect catches up every round
+        // boundary it missed in one sweep (nothing was serviced on
+        // this port meanwhile: a pending grant needs a buffered flit).
+        if (inputMems[p].occupancy() == 0)
+            continue;
         linkScheds[p].collectCandidates(now, cfg.candidates, creditMgr,
                                         rand, candScratch[p]);
         if (!creditMgr.isInfinite()) {

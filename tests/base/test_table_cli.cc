@@ -141,6 +141,25 @@ TEST(Cli, BadIntegerIsFatal)
     EXPECT_THROW(cli.integer("n"), std::runtime_error);
 }
 
+TEST(Cli, NonFiniteRealIsFatal)
+{
+    for (const char *arg : {"--load=nan", "--load=inf", "--load=-inf",
+                            "--load=0.5x", "--load="}) {
+        Cli cli;
+        cli.flag("load", "0.5", "offered load");
+        const char *argv[] = {"prog", arg};
+        ASSERT_TRUE(cli.parse(2, const_cast<char **>(argv)));
+        try {
+            (void)cli.real("load");
+            ADD_FAILURE() << arg << " was accepted";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_EQ(what.rfind("fatal:", 0), 0u) << what;
+            EXPECT_NE(what.find("--load"), std::string::npos) << what;
+        }
+    }
+}
+
 TEST(Cli, HelpReturnsFalse)
 {
     Cli cli;

@@ -19,6 +19,7 @@
 
 #include "harness/network_experiment.hh"
 #include "metrics/recorder.hh"
+#include "network/interface.hh"
 #include "obs/flight_recorder.hh"
 #include "router/router.hh"
 #include "sim/kernel.hh"
@@ -280,6 +281,60 @@ TEST(ZeroAlloc, ChurnSessionsAllocateOnlyFromThePool)
         << "steady-state churn hit the heap ("
         << allocations.load() << " allocations for " << arrived
         << " arrivals)";
+}
+
+/**
+ * Best-effort datagrams route hop by hop (adaptive up*-down*, §3.5),
+ * and one whose next hop has no free VC parks and retries every
+ * cycle.  With two VCs per port under all-to-all best-effort load,
+ * about one datagram is parked in every cycle; once the parking list
+ * has reached its high-water mark, a window of first attempts and
+ * retries — route choice, legal-hop fallback, VC claims, segment
+ * install — allocates nothing.
+ */
+TEST(ZeroAlloc, BlockedDatagramRetriesAllocateNothing)
+{
+    NetworkConfig ncfg;
+    ncfg.seed = 23;
+    ncfg.router.vcsPerPort = 2;
+    ncfg.router.candidates = 2;
+    Network net(topologyFromSpec("mesh:3x3", ncfg.seed), ncfg);
+    std::vector<std::unique_ptr<NetworkInterface>> hosts;
+    for (NodeId n = 0; n < net.numNodes(); ++n) {
+        hosts.push_back(
+            std::make_unique<NetworkInterface>(net, n, 100 + n));
+        for (NodeId d = 0; d < net.numNodes(); ++d)
+            if (d != n)
+                hosts.back()->addBestEffortFlow(d, 30 * kMbps);
+    }
+
+    Kernel kernel;
+    kernel.add(&net, "network");
+    std::size_t warmPeak = 0;
+    const auto step = [&] {
+        for (auto &h : hosts)
+            h->tick(kernel.now());
+        kernel.step();
+        return net.pendingDatagrams();
+    };
+    for (Cycle t = 0; t < 6000; ++t)
+        warmPeak = std::max<std::size_t>(warmPeak, step());
+    ASSERT_GT(net.datagramsDelivered(), 0u);
+    ASSERT_GT(warmPeak, 0u) << "no datagram ever blocked";
+
+    const std::uint64_t deliveredBefore = net.datagramsDelivered();
+    std::size_t parked = 0;
+    allocations.store(0);
+    counting.store(true);
+    for (Cycle t = 0; t < 4000; ++t)
+        parked += step();
+    counting.store(false);
+
+    ASSERT_GT(net.datagramsDelivered(), deliveredBefore);
+    ASSERT_GT(parked, 0u) << "no datagram blocked in the window";
+    EXPECT_EQ(allocations.load(), 0u)
+        << "blocked-datagram retries hit the heap ("
+        << allocations.load() << " allocations)";
 }
 
 /**

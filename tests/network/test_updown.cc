@@ -51,11 +51,13 @@ TEST(UpDown, LegalHopsNeverGoUpAfterDown)
     Rng rng(4);
     const Topology t = Topology::irregular(14, 6, 4, rng);
     const UpDownRouting ud(t);
+    std::vector<NodeId> hops;
     for (NodeId at = 0; at < t.numNodes(); ++at) {
         for (NodeId dst = 0; dst < t.numNodes(); ++dst) {
             if (at == dst)
                 continue;
-            for (NodeId hop : ud.legalNextHops(at, dst, true))
+            ud.legalNextHops(at, dst, true, hops);
+            for (NodeId hop : hops)
                 EXPECT_FALSE(ud.isUp(at, hop))
                     << "up move offered in the down phase";
         }

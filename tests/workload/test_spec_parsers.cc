@@ -1,7 +1,8 @@
 /**
  * @file
  * Seeded corpus loops over the user-facing spec parsers (session mix,
- * rates, flash crowd, diurnal curve, fault model, fault events): every
+ * rates, flash crowd, diurnal curve, fault model, fault events,
+ * topology): every
  * input either parses to finite, in-range values or is rejected with
  * std::runtime_error (mmr_fatal) — never an abort, never undefined
  * behavior.  The sanitizer CI jobs run these loops too.  Also checks
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "fault/fault_plan.hh"
+#include "harness/network_experiment.hh"
 #include "obs/flight_recorder.hh"
 #include "workload/churn.hh"
 #include "workload/generator.hh"
@@ -192,6 +195,57 @@ TEST(SpecParserCorpus, FaultEventsRoundTrip)
             EXPECT_EQ(FaultPlan::fromEvents(plan.toSpec(), topo).toSpec(),
                       plan.toSpec())
                 << spec;
+        });
+}
+
+TEST(SpecParserCorpus, Topology)
+{
+    // Small sizes, so every spec that builds builds fast, plus
+    // malformed numbers and sizes beyond the caps.
+    const std::vector<std::string> sizes = {
+        "",   "0",  "1",  "2",   "3",   "4",          "5",
+        "6",  "-3", "+4", " 4",  "4 ",  "0x8",        "1e2",
+        "2.5", "x", "99999999", "4294967300", "18446744073709551617"};
+    corpus(
+        "topology", 3000,
+        [&](Rng &rng) {
+            std::string s = rng.pick(std::vector<std::string>{
+                "mesh", "torus", "ring", "star", "min", "fattree",
+                "leafspine", "irregular", "cube", ""});
+            if (rng.chance(0.95))
+                s += ":";
+            const auto parts = rng.below(4);
+            for (std::uint64_t i = 0; i < parts; ++i) {
+                if (i > 0)
+                    s += rng.pick(std::vector<std::string>{":", "x"});
+                s += rng.pick(sizes);
+            }
+            return s;
+        },
+        [](const std::string &spec) {
+            const Topology t = topologyFromSpec(spec, 7);
+            ASSERT_GE(t.numNodes(), 1u) << spec;
+            EXPECT_LE(t.numNodes(), kMaxTopologyNodes) << spec;
+            EXPECT_LE(t.numLinks(), kMaxTopologyLinks) << spec;
+            EXPECT_TRUE(t.connected()) << spec;
+            // Every link is a simple, symmetric pair of ports.
+            for (NodeId n = 0; n < t.numNodes(); ++n) {
+                std::vector<NodeId> seen;
+                for (const auto &p : t.ports(n)) {
+                    ASSERT_LT(p.neighbor, t.numNodes()) << spec;
+                    EXPECT_NE(p.neighbor, n) << spec;
+                    const auto &back = t.ports(p.neighbor);
+                    ASSERT_LT(p.remotePort, back.size()) << spec;
+                    EXPECT_EQ(back[p.remotePort].neighbor, n) << spec;
+                    EXPECT_EQ(back[p.remotePort].remotePort, p.localPort)
+                        << spec;
+                    seen.push_back(p.neighbor);
+                }
+                std::sort(seen.begin(), seen.end());
+                EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()),
+                          seen.end())
+                    << spec << ": parallel links at node " << n;
+            }
         });
 }
 
