@@ -71,9 +71,9 @@ main(int argc, char **argv)
             auto it = exp.deadlineStats().find(conn);
             if (it != exp.deadlineStats().end()) {
                 deadline_by_prio[seg->priority].first +=
-                    it->second.first;
+                    it->second.misses();
                 deadline_by_prio[seg->priority].second +=
-                    it->second.second;
+                    it->second.total();
             }
         }
 

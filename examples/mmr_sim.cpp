@@ -16,7 +16,7 @@
  * Examples:
  *   ./mmr_sim --mode=router --load=0.9 --sched=biased --candidates=8
  *   ./mmr_sim --mode=router --vbr=0.5 --be=0.2 --abort-late=true
- *   ./mmr_sim --mode=network --topology=mesh4x4 --load=0.5 \
+ *   ./mmr_sim --mode=network --topology=mesh:4x4 --load=0.5 \
  *             --fail-link=5,6
  */
 
@@ -29,6 +29,7 @@
 
 #include "base/cli.hh"
 #include "base/table.hh"
+#include "harness/network_experiment.hh"
 #include "harness/single_router.hh"
 #include "network/interface.hh"
 #include "network/network.hh"
@@ -55,33 +56,6 @@ reportProfile(const Cli &cli, const SimProfile &prof)
     }
     if (cli.boolean("profile") || !path.empty())
         printProfile(std::cerr, prof);
-}
-
-Topology
-parseTopology(const std::string &spec, Rng &rng)
-{
-    if (spec.rfind("mesh", 0) == 0) {
-        const auto x = spec.find('x', 4);
-        if (x == std::string::npos)
-            mmr_fatal("mesh spec must be meshWxH, got '", spec, "'");
-        return Topology::mesh2d(std::stoul(spec.substr(4, x - 4)),
-                                std::stoul(spec.substr(x + 1)));
-    }
-    if (spec.rfind("torus", 0) == 0) {
-        const auto x = spec.find('x', 5);
-        if (x == std::string::npos)
-            mmr_fatal("torus spec must be torusWxH, got '", spec, "'");
-        return Topology::torus2d(std::stoul(spec.substr(5, x - 5)),
-                                 std::stoul(spec.substr(x + 1)));
-    }
-    if (spec.rfind("ring", 0) == 0)
-        return Topology::ring(std::stoul(spec.substr(4)));
-    if (spec.rfind("irregular", 0) == 0) {
-        const unsigned n = std::stoul(spec.substr(9));
-        return Topology::irregular(n, n / 2, 4, rng);
-    }
-    mmr_fatal("unknown topology '", spec,
-              "' (want meshWxH|torusWxH|ringN|irregularN)");
 }
 
 /**
@@ -260,7 +234,7 @@ runNetworkMode(const Cli &cli)
 {
     const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
     Rng rng(seed);
-    const Topology topo = parseTopology(cli.str("topology"), rng);
+    const Topology topo = topologyFromSpec(cli.str("topology"), seed);
 
     NetworkConfig ncfg;
     ncfg.router.vcsPerPort = static_cast<unsigned>(cli.integer("vcs"));
@@ -423,8 +397,9 @@ main(int argc, char **argv)
                  "force an invariant violation at this cycle to "
                  "exercise the flight-recorder crash dump (0 = off)");
         // network mode
-        cli.flag("topology", "mesh3x3",
-                 "meshWxH | torusWxH | ringN | irregularN");
+        cli.flag("topology", "mesh:3x3",
+                 "mesh:WxH | torus:WxH | ring:N | star:N | min:R:S | "
+                 "fattree:K | leafspine:S:L | irregular:N:EXTRA:MAXDEG");
         cli.flag("fail-link", "", "a,b: fail this link mid-run");
         // observability
         addObsFlags(cli);

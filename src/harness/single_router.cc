@@ -16,6 +16,39 @@
 namespace mmr
 {
 
+void
+FrameDeadlineLedger::noteInjected(std::uint32_t seq, double deadline)
+{
+    if (!marks.empty() && marks.back().deadline == deadline)
+        return; // same frame as the last noted flit
+    marks.push_back({seq, deadline});
+}
+
+void
+FrameDeadlineLedger::noteDeparted(const Flit &f, Cycle now, bool measuring)
+{
+    while (marks.size() - head > 1 && marks[head + 1].firstSeq <= f.seq)
+        ++head;
+    mmr_assert(head < marks.size() && marks[head].firstSeq <= f.seq,
+               "VBR flit ", f.seq, " of connection ", f.conn,
+               " left without a noted frame deadline");
+    const double deadline = marks[head].deadline;
+    // Drop the dead prefix once it is at least half the vector, so
+    // the ledger stays bounded by the frames in flight.
+    if (head * 2 >= marks.size()) {
+        marks.erase(marks.begin(),
+                    marks.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+    }
+    if (deadline <= 0.0 || !measuring)
+        return;
+    if (static_cast<double>(f.createTime) > deadline)
+        return; // source-inherent lateness
+    ++totalCount;
+    if (static_cast<double>(now) > deadline)
+        ++missCount;
+}
+
 SingleRouterExperiment::SingleRouterExperiment(const ExperimentConfig &c)
     : cfg(c), rng(c.seed), inputDemand(c.router.numPorts, 0.0),
       outputDemand(c.router.numPorts, 0.0)
@@ -35,26 +68,18 @@ SingleRouterExperiment::SingleRouterExperiment(const ExperimentConfig &c)
     recorder.setQosBudget(TrafficClass::CBR, cfg.cbrDelayBudget);
     recorder.setQosBudget(TrafficClass::VBR, cfg.vbrDelayBudget);
 
-    // Frame-deadline accounting for VBR flits: the injection path
-    // stamps each flit with its frame's deadline (Flit::arg); a flit
-    // leaving the switch later than that is a miss (§4.3).  Flits the
-    // *source* already emitted past the deadline (an oversized frame
-    // that cannot fit its slot even at peak rate) are excluded — they
-    // measure the traffic model, not the scheduler.
+    // Frame-deadline accounting for VBR flits: each connection's
+    // ledger knows the deadline of the frame a flit was injected in;
+    // a flit leaving the switch later than that is a miss (§4.3).
     dut->setSink([this](PortId, VcId, const Flit &f, Cycle now) {
         // Windowed delay accumulation (steady-state detection).
-        windowDelaySum += static_cast<double>(now - f.readyTime);
+        windowDelaySum += static_cast<double>(now - f.readyTime());
         ++windowDelayCount;
-        if (f.klass != TrafficClass::VBR || f.arg <= 0.0)
+        if (f.klass != TrafficClass::VBR)
             return;
-        if (!recorder.measuring(now))
-            return;
-        if (static_cast<double>(f.createTime) > f.arg)
-            return; // source-inherent lateness
-        auto &[misses, total] = deadlineByConn[f.conn];
-        ++total;
-        if (static_cast<double>(now) > f.arg)
-            ++misses;
+        const auto it = deadlineByConn.find(f.conn);
+        if (it != deadlineByConn.end())
+            it->second.noteDeparted(f, now, recorder.measuring(now));
     });
 }
 
@@ -124,6 +149,7 @@ SingleRouterExperiment::addVbrConnection(double mean_rate_bps)
         auto src = std::make_unique<VbrSource>(prof, link,
                                                cfg.router.flitBits, rng);
         s.vbr = src.get();
+        s.deadlines = &deadlineByConn[id];
         s.source = std::move(src);
         streams.push_back(std::move(s));
         return true;
@@ -252,9 +278,10 @@ SingleRouterExperiment::pollStream(std::size_t idx, Cycle now)
         f.klass = s.klass;
         f.seq = s.seq++;
         f.createTime = now;
-        f.readyTime = now;
-        if (s.vbr != nullptr)
-            f.arg = s.vbr->currentFrameDeadline();
+        f.setReadyTime(now);
+        if (s.deadlines != nullptr)
+            s.deadlines->noteInjected(f.seq,
+                                      s.vbr->currentFrameDeadline());
         // Raw injection at the cached endpoint: same deposit path as
         // inject(conn, ...) minus the per-flit connection-map lookup.
         dut->injectRaw(s.in, s.inVc, f);
@@ -563,11 +590,8 @@ SingleRouterExperiment::run()
             cls->flits += rec->delay().count();
         }
         if (s.klass == TrafficClass::VBR) {
-            auto it = deadlineByConn.find(s.conn);
-            if (it != deadlineByConn.end()) {
-                r.vbr.deadlineMisses += it->second.first;
-                r.vbr.deadlineTotal += it->second.second;
-            }
+            r.vbr.deadlineMisses += s.deadlines->misses();
+            r.vbr.deadlineTotal += s.deadlines->total();
         }
     }
     return r;

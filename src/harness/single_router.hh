@@ -165,6 +165,46 @@ struct ExperimentResult
     SimProfile profile;
 };
 
+/**
+ * Frame-deadline accounting of one VBR connection (§4.3).  A flit
+ * does not carry its frame's deadline: the harness notes, at
+ * injection, the sequence number from which each deadline holds, and
+ * since a connection's flits leave its VC in order, a departing
+ * flit's deadline is the last one noted at or below its sequence
+ * number.  Flits the router refused keep their numbers, so a refusal
+ * cannot shift a later flit onto the wrong frame.
+ */
+class FrameDeadlineLedger
+{
+  public:
+    /** Flit @p seq was injected while its frame's deadline (a
+     * fractional cycle; 0 before the first frame) was @p deadline. */
+    void noteInjected(std::uint32_t seq, double deadline);
+
+    /**
+     * Account flit @p f leaving the switch at @p now: a miss when it
+     * leaves after its deadline.  Counted only while @p measuring and
+     * only for flits the source emitted by the deadline — a flit
+     * created late measures the traffic model, not the scheduler.
+     */
+    void noteDeparted(const Flit &f, Cycle now, bool measuring);
+
+    std::uint64_t misses() const { return missCount; }
+    std::uint64_t total() const { return totalCount; }
+
+  private:
+    struct Mark
+    {
+        std::uint32_t firstSeq; ///< first flit under this deadline
+        double deadline;
+    };
+
+    std::vector<Mark> marks; ///< live from index head, firstSeq rising
+    std::size_t head = 0;
+    std::uint64_t missCount = 0;
+    std::uint64_t totalCount = 0;
+};
+
 class SingleRouterExperiment
 {
   public:
@@ -192,9 +232,8 @@ class SingleRouterExperiment
         return static_cast<unsigned>(streams.size());
     }
 
-    /** Per-connection VBR deadline stats: conn -> {misses, total}. */
-    const std::unordered_map<ConnId,
-                             std::pair<std::uint64_t, std::uint64_t>> &
+    /** Per-connection VBR deadline stats. */
+    const std::unordered_map<ConnId, FrameDeadlineLedger> &
     deadlineStats() const
     {
         return deadlineByConn;
@@ -211,6 +250,7 @@ class SingleRouterExperiment
         VcId inVc = kInvalidVc;
         std::unique_ptr<TrafficSource> source;
         VbrSource *vbr = nullptr; ///< non-owning view for deadlines
+        FrameDeadlineLedger *deadlines = nullptr; ///< VBR only
         std::uint32_t seq = 0;
     };
 
@@ -252,8 +292,7 @@ class SingleRouterExperiment
 
     std::vector<double> inputDemand;  ///< admitted bits/s per input
     std::vector<double> outputDemand; ///< admitted bits/s per output
-    std::unordered_map<ConnId, std::pair<std::uint64_t, std::uint64_t>>
-        deadlineByConn;
+    std::unordered_map<ConnId, FrameDeadlineLedger> deadlineByConn;
     std::uint64_t abortedFlitCount = 0;
     /** Windowed delay accumulation for the steady-state detector. */
     double windowDelaySum = 0.0;

@@ -249,13 +249,14 @@ Network::wireRouter(NodeId n)
     const unsigned shard = shardOf[n];
     routers[n]->setSink(
         [this, n, shard](PortId out, VcId out_vc, const Flit &f, Cycle) {
-            mailboxes[shard].log.push_back(
-                {DeferredEvent::Kind::Egress, n, out, out_vc, f});
+            ShardMailbox &box = mailboxes[shard];
+            box.log.push_back({n, out, out_vc, DeferredEvent::Kind::Egress});
+            box.egressFlits.push_back(f);
         });
     routers[n]->setCreditReturn(
         [this, n, shard](PortId in, VcId vc, Cycle) {
             mailboxes[shard].log.push_back(
-                {DeferredEvent::Kind::Credit, n, in, vc, {}});
+                {n, in, vc, DeferredEvent::Kind::Credit});
         });
     routers[n]->setSegmentRemoved(
         [this, n, shard](const SegmentParams &seg) {
@@ -269,7 +270,7 @@ Network::wireRouter(NodeId n)
             if (!seg.releaseWhenEmpty || seg.in >= topo.degree(n))
                 return;
             mailboxes[shard].log.push_back(
-                {DeferredEvent::Kind::SegRemoved, n, seg.in, seg.inVc, {}});
+                {n, seg.in, seg.inVc, DeferredEvent::Kind::SegRemoved});
         });
 }
 
@@ -714,7 +715,7 @@ Network::inject(ConnId id, Flit f, Cycle now)
     const PcsConnection &conn = *it;
     f.src = conn.src;
     f.dst = conn.dst;
-    f.readyTime = now;
+    f.setReadyTime(now);
     if (!routers[conn.src]->inject(id, f)) {
         ++statInjectRejects;
         return false;
@@ -766,7 +767,7 @@ Network::InjectHandle::push(Flit f, Cycle now)
     f.klass = klass;
     f.src = src;
     f.dst = dst;
-    f.readyTime = now;
+    f.setReadyTime(now);
     if (!router->injectRaw(in, inVc, f)) {
         ++net->statInjectRejects;
         return false;
@@ -854,7 +855,7 @@ Network::sendDatagram(NodeId src, NodeId dst, TrafficClass klass,
     f.src = src;
     f.dst = dst;
     f.createTime = now;
-    f.readyTime = now;
+    f.setReadyTime(now);
 
     if (src == dst) {
         deliverToHost(dst, f, now);
@@ -966,11 +967,9 @@ Network::placeDatagram(PendingArrival &p, Cycle now)
     }
 
     Flit f = p.flit;
-    if (p.node != f.dst) {
+    if (p.node != f.dst)
         f.downPhase = f.downPhase || out_is_down;
-        ++f.hops;
-    }
-    f.readyTime = now;
+    f.setReadyTime(now);
     const bool ok = router.injectRaw(in, in_vc, f);
     mmr_assert(ok, "deposit into a fresh datagram VC cannot fail");
     return true;
@@ -1013,7 +1012,7 @@ Network::processArrivals(Cycle now)
         p.inPort = lf.toPort;
         p.inVc = lf.vc;
         p.flit = lf.flit;
-        p.flit.readyTime = now;
+        p.flit.setReadyTime(now);
         if (!placeDatagram(p, now))
             pendingArrivals.push_back(std::move(p));
     }
@@ -1075,7 +1074,7 @@ Network::applyInbox(unsigned s)
     for (LinkFlit &lf : box.flits) {
         mmr_assert(lf.arriveAt == phaseCycle, "link flit due at cycle ",
                    lf.arriveAt, " found at ", phaseCycle);
-        lf.flit.readyTime = phaseCycle;
+        lf.flit.setReadyTime(phaseCycle);
         if (!routers[lf.toNode]->injectRaw(lf.toPort, lf.vc, lf.flit))
             ++box.rejects;
     }
@@ -1111,11 +1110,13 @@ Network::drainMailboxes(Cycle now)
     // keeps networkResultDigest bit-identical across shard counts
     // (DESIGN.md §12).
     for (unsigned s = 0; s < numShards; ++s) {
-        auto &log = mailboxes[s].log;
-        for (const DeferredEvent &e : log) {
+        ShardMailbox &box = mailboxes[s];
+        std::size_t egress = 0;
+        for (const DeferredEvent &e : box.log) {
             switch (e.kind) {
             case DeferredEvent::Kind::Egress:
-                handleEgress(e.node, e.port, e.vc, e.flit, now);
+                handleEgress(e.node, e.port, e.vc,
+                             box.egressFlits[egress++], now);
                 break;
             case DeferredEvent::Kind::Credit:
                 handleCreditReturn(e.node, e.port, e.vc, now);
@@ -1125,7 +1126,8 @@ Network::drainMailboxes(Cycle now)
                 break;
             }
         }
-        log.clear();
+        box.log.clear();
+        box.egressFlits.clear();
     }
 }
 

@@ -446,7 +446,9 @@ class Network : public Clocked
      * barrier in ascending shard order.  Within a shard the log is
      * append-ordered, so the replay order is ascending router id at
      * every shard count and the results are bit-identical (see
-     * DESIGN.md §12 for the full argument).
+     * DESIGN.md §12 for the full argument).  A record is 12 bytes:
+     * the flit of an egress rides in the mailbox's parallel flit log,
+     * so credits and segment removals carry none.
      */
     struct DeferredEvent
     {
@@ -457,11 +459,10 @@ class Network : public Clocked
             SegRemoved ///< datagram segment freed its upstream link VC
         };
 
-        Kind kind;
         NodeId node;
         PortId port; ///< Egress: out port; Credit, SegRemoved: in port
         VcId vc;     ///< Egress: out VC;   Credit, SegRemoved: in VC
-        Flit flit;   ///< Egress only
+        Kind kind;
     };
 
     /** Per-shard deferred-event log, cache-line padded: neighboring
@@ -470,6 +471,7 @@ class Network : public Clocked
     struct alignas(64) ShardMailbox
     {
         std::vector<DeferredEvent> log;
+        std::vector<Flit> egressFlits; ///< one per Egress, in log order
     };
 
     /** A credit on its way back to the router that sent the flit,

@@ -68,8 +68,8 @@ headPriority(PriorityPolicy policy, const VcState &vc, Cycle now)
 {
     const Flit &head = vc.ungrantedHead();
     const double waited =
-        now >= head.readyTime
-            ? static_cast<double>(now - head.readyTime)
+        now >= head.readyTime()
+            ? static_cast<double>(now - head.readyTime())
             : 0.0;
 
     switch (policy) {

@@ -354,7 +354,7 @@ MmrRouter::inject(ConnId id, Flit f)
         return false;
     }
     ++statInjected;
-    MMR_OBS_EVENT(TraceCat::Flit, "inject", f.readyTime, p.in, id,
+    MMR_OBS_EVENT(TraceCat::Flit, "inject", f.readyTime(), p.in, id,
                   static_cast<std::int32_t>(p.inVc));
     return true;
 }
@@ -369,7 +369,7 @@ MmrRouter::injectRaw(PortId in, VcId vc, const Flit &f)
         return false;
     }
     ++statInjected;
-    MMR_OBS_EVENT(TraceCat::Flit, "inject", f.readyTime, in, f.conn,
+    MMR_OBS_EVENT(TraceCat::Flit, "inject", f.readyTime(), in, f.conn,
                   static_cast<std::int32_t>(vc));
     return true;
 }
@@ -457,7 +457,7 @@ MmrRouter::processBypass(Cycle now)
                 // only, no stage decomposition.
                 metrics->recordDeparture(
                     req.flit.conn, now,
-                    static_cast<double>(now - req.flit.readyTime),
+                    static_cast<double>(now - req.flit.readyTime()),
                     TrafficClass::Control);
             }
             if (sink)
@@ -570,7 +570,7 @@ MmrRouter::deliver(const Candidate &grant, Flit &&flit, Cycle now,
     if (metrics) {
         metrics->recordDeparture(
             grant.conn, now,
-            static_cast<double>(now - flit.readyTime), flit.klass,
+            static_cast<double>(now - flit.readyTime()), flit.klass,
             &stages);
     }
     if (creditReturn)
@@ -627,9 +627,7 @@ MmrRouter::applyMatching(Cycle now)
         vc.noteGrantApplied();
         const VcState::GrantStamp &stamp = currentStamps[gi];
         StageSample stages;
-        stages.sourceQueue = flit.readyTime > flit.createTime
-                                 ? flit.readyTime - flit.createTime
-                                 : 0;
+        stages.sourceQueue = flit.readyTime() - flit.createTime;
         stages.vcResidency = stamp.vcWait;
         stages.arbWait = stamp.arbWait;
         // The stamp keeps only the low 32 bits of the issue cycle;

@@ -135,8 +135,8 @@ class MmrRouter : public Clocked
     // Data path
     // ------------------------------------------------------------------
 
-    /** Inject a flit on an established connection (readyTime must be
-     * set by the caller). False when the VC buffer is full. */
+    /** Inject a flit on an established connection (its ready time
+     * must be set by the caller). False when the VC buffer is full. */
     bool inject(ConnId id, Flit f);
 
     /** Link-side arrival into an explicit (port, VC). */

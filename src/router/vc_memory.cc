@@ -66,8 +66,9 @@ VcMemory::VcMemory(unsigned nvcs, unsigned per_vc_depth)
     ram.reset(static_cast<Flit *>(
         ::operator new(sizeof(Flit) * std::size_t{nvcs} * ring)));
     vcs.reserve(nvcs);
+    // Slot-major: ring slot s of VC v is RAM index s * nvcs + v.
     for (unsigned v = 0; v < nvcs; ++v)
-        vcs.emplace_back(FlitFifo(ram.get() + std::size_t{v} * ring, ring));
+        vcs.emplace_back(FlitFifo(ram.get() + v, ring, nvcs));
 }
 
 void

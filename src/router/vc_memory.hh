@@ -9,8 +9,8 @@
  * from the link scheduler.
  *
  * This class provides (a) the functional storage — one RAM per input
- * port, each VC's FIFO a fixed ring of adjacent slots in it, with
- * per-VC depth limits — and (b) the timing model used to balance
+ * port, each VC's FIFO a fixed ring of slots in it, with per-VC depth
+ * limits — and (b) the timing model used to balance
  * "memory access time, link speed, and crossbar switching delay": a
  * static analysis of the bandwidth a bank configuration sustains,
  * exercised by bench_vc_memory.
@@ -62,13 +62,19 @@ struct VcMemoryModel
 };
 
 /**
- * Functional per-input-port VC memory: one block of vcs x ring flit
- * slots, where ring is the per-VC depth rounded up to a power of two
- * and VC v owns slots [v * ring, (v + 1) * ring).  The block is
- * allocated uninitialized and a slot is only written by a deposit, so
- * a VC that never carries a flit costs address space but no resident
- * memory.  Move-only (the block is uniquely owned); the VcStates
- * point into the block, which a move does not relocate.
+ * Functional per-input-port VC memory: one block of ring x vcs flit
+ * slots, where ring is the per-VC depth rounded up to a power of two.
+ * The block is slot-major: ring slot s of VC v is block index
+ * s * vcs + v, so slot s of every VC forms one row.  This is a
+ * low-order interleave across VCs rather than §3.2's "flits of one VC
+ * occupy adjacent location sets": an emptied ring restarts at slot 0,
+ * so a lightly loaded VC touches only the first rows, and the lightly
+ * loaded VCs of a port share those rows' pages instead of making one
+ * page resident each.  The block is allocated uninitialized and a
+ * slot is only written by a deposit, so rows no VC reaches cost
+ * address space but no resident memory.  Move-only (the block is
+ * uniquely owned); the VcStates point into the block, which a move
+ * does not relocate.
  */
 class VcMemory
 {
@@ -195,7 +201,7 @@ class VcMemory
         void operator()(Flit *p) const { ::operator delete(p); }
     };
 
-    std::unique_ptr<Flit, RamFree> ram; ///< vcs x ring raw flit slots
+    std::unique_ptr<Flit, RamFree> ram; ///< ring x vcs raw flit slots
     std::vector<VcState> vcs;
     unsigned perVcDepth;
     std::size_t occupied = 0;

@@ -28,17 +28,20 @@ namespace mmr
 
 /**
  * One VC's flit FIFO: a fixed power-of-two ring of slots inside its
- * input port's VC RAM, which VcMemory owns ("flits of one VC occupy
- * adjacent location sets", §3.2).  The ring never grows, so a push
- * can never allocate; VcMemory::deposit refuses at the depth limit,
- * which never exceeds the ring, so a push into a full ring is a bug.
+ * input port's VC RAM, which VcMemory owns.  The RAM is slot-major —
+ * ring slot s of VC v lives at RAM index s * vcs + v, a low-order
+ * interleave across the port's VCs — so the FIFO addresses its slots
+ * with a stride.  The ring never grows, so a push can never allocate;
+ * VcMemory::deposit refuses at the depth limit, which never exceeds
+ * the ring, so a push into a full ring is a bug.
  */
 class FlitFifo
 {
   public:
-    /** @p ring slots (a power of two) starting at @p slots. */
-    FlitFifo(Flit *slots_, std::uint32_t ring)
-        : slots(slots_), mask(ring - 1)
+    /** @p ring slots (a power of two), slot s at @p slots + s *
+     * @p stride. */
+    FlitFifo(Flit *slots_, std::uint32_t ring, std::uint32_t stride_)
+        : slots(slots_), stride(stride_), mask(ring - 1)
     {
     }
 
@@ -51,7 +54,7 @@ class FlitFifo
         mmr_assert(used <= mask, "push into a full VC ring");
         // The RAM is never value-initialized: a slot is constructed
         // when a flit is first written to it.
-        ::new (slots + ((head + used) & mask)) Flit(f);
+        ::new (slot(head + used)) Flit(f);
         ++used;
     }
 
@@ -64,20 +67,28 @@ class FlitFifo
         head = used == 0 ? 0 : (head + 1) & mask;
     }
 
-    const Flit &front() const { return slots[head]; }
+    const Flit &front() const { return *slot(head); }
 
     /** @p i counted from the front (0 = head). */
     const Flit &
     operator[](std::size_t i) const
     {
-        return slots[(head + i) & mask];
+        return *slot(head + static_cast<std::uint32_t>(i));
     }
 
   private:
     static_assert(std::is_trivially_destructible_v<Flit>,
                   "popped slots are overwritten, never destroyed");
 
+    /** Ring position @p pos (taken modulo the ring) in the RAM. */
+    Flit *
+    slot(std::uint32_t pos) const
+    {
+        return slots + std::size_t{pos & mask} * stride;
+    }
+
     Flit *slots;
+    std::uint32_t stride;
     std::uint32_t mask;
     std::uint32_t head = 0;
     std::uint32_t used = 0;
@@ -137,7 +148,7 @@ class VcState
         // A flit landing in a VC with no other ungranted flit becomes
         // arbitration-eligible immediately: start its head-wait clock.
         if (!hasUngrantedFlit())
-            headEligibleAt = f.readyTime;
+            headEligibleAt = f.readyTime();
         fifo.push_back(f);
     }
 
@@ -197,8 +208,8 @@ class VcState
         s.vcWait = 0;
         if (hasUngrantedFlit()) {
             const Flit &h = fifo[grantsPending]; // flit being granted
-            s.vcWait = clampWait(headEligibleAt > h.readyTime
-                                     ? headEligibleAt - h.readyTime
+            s.vcWait = clampWait(headEligibleAt > h.readyTime()
+                                     ? headEligibleAt - h.readyTime()
                                      : 0);
         }
         ++grantsPending;

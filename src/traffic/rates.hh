@@ -19,8 +19,9 @@
 namespace mmr
 {
 
-/** Service class of a connection or packet (§2, §3.4). */
-enum class TrafficClass
+/** Service class of a connection or packet (§2, §3.4).  One byte, so
+ * it packs into the 32-byte Flit. */
+enum class TrafficClass : std::uint8_t
 {
     CBR,        ///< constant bit rate stream (guaranteed bandwidth)
     VBR,        ///< variable bit rate stream (permanent + peak)

@@ -113,7 +113,7 @@ TEST(ZeroAlloc, SteadyStateCycleAllocatesNothing)
         for (std::size_t i = 0; i < conns.size(); ++i) {
             Flit f;
             f.seq = seq[i];
-            f.readyTime = kernel.now();
+            f.setReadyTime(kernel.now());
             if (router.inject(conns[i], f))
                 ++seq[i];
         }
@@ -183,7 +183,7 @@ TEST(ZeroAlloc, MetricsAndFlightRecorderAllocateNothing)
         for (std::size_t i = 0; i < conns.size(); ++i) {
             Flit f;
             f.seq = seq[i];
-            f.readyTime = kernel.now();
+            f.setReadyTime(kernel.now());
             if (router.inject(conns[i], f))
                 ++seq[i];
         }

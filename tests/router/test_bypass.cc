@@ -66,7 +66,7 @@ TEST_F(BypassTest, CutThroughClaimsPortsForNextArbitration)
     }
     Flit ctl;
     ctl.conn = 777;
-    ctl.readyTime = 0;
+    ctl.setReadyTime(0);
     router.offerControl(1, 2, ctl);
 
     kernel.run(10);
@@ -131,7 +131,7 @@ TEST_F(BypassTest, ControlChannelIsReusedAcrossPackets)
         router.inject(stream, f);
         Flit ctl;
         ctl.conn = 900 + round;
-        ctl.readyTime = kernel.now();
+        ctl.setReadyTime(kernel.now());
         router.offerControl(1, 2, ctl);
         kernel.run(3);
     }

@@ -38,7 +38,7 @@ class LinkSchedTest : public ::testing::Test
         mem.vc(v).bindCbr(100 + v, alloc, ia);
         mem.vc(v).setMapping(out, v);
         Flit f;
-        f.readyTime = ready;
+        f.setReadyTime(ready);
         ASSERT_TRUE(mem.deposit(v, f));
     }
 
@@ -185,7 +185,7 @@ TEST_F(LinkSchedTest, BestEffortRanksLast)
     mem.vc(4).bindBestEffort(800);
     mem.vc(4).setMapping(3, 4);
     Flit f;
-    f.readyTime = 0;
+    f.setReadyTime(0);
     ASSERT_TRUE(mem.deposit(4, f));
     cbr(0, 1, 4, 10.0, 90);
     const auto c = collect(100, 8);
@@ -204,7 +204,7 @@ TEST_F(LinkSchedTest, VbrExcessServicedInPriorityOrderByConnection)
         mem.vc(v).bindVbr(conn, 0, 8, 10.0, prio);
         mem.vc(v).setMapping(out, v);
         Flit f;
-        f.readyTime = 0;
+        f.setReadyTime(0);
         ASSERT_TRUE(mem.deposit(v, f));
     };
     add_vbr(0, 0, 1, 500);
@@ -382,7 +382,7 @@ TEST(LinkSchedDifferential, MatchesNaiveCollectAcrossSkippedCycles)
                 if (mem.vc(v).bound() && mem.freeSlots(v) > 0 &&
                     rng.chance(0.4)) {
                     Flit f;
-                    f.readyTime = now;
+                    f.setReadyTime(now);
                     ASSERT_TRUE(mem.deposit(v, f));
                 }
             }

@@ -21,7 +21,7 @@ cbrVc(VcMemory &mem, double inter_arrival, Cycle ready)
     VcState &vc = mem.vc(0);
     vc.bindCbr(1, 4, inter_arrival);
     Flit f;
-    f.readyTime = ready;
+    f.setReadyTime(ready);
     vc.push(f);
     return vc;
 }
@@ -90,7 +90,7 @@ TEST(Priority, ZeroInterArrivalFallsBackToAge)
     VcState &vc = mem.vc(0);
     vc.bindBestEffort(1);
     Flit f;
-    f.readyTime = 0;
+    f.setReadyTime(0);
     vc.push(f);
     EXPECT_DOUBLE_EQ(headPriority(PriorityPolicy::Biased, vc, 7), 7.0);
     EXPECT_DOUBLE_EQ(headPriority(PriorityPolicy::Fixed, vc, 7), 0.0);

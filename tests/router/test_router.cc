@@ -103,7 +103,7 @@ TEST_F(RouterTest, SingleFlitTraversesInOneCycle)
     const ConnId id = router.openCbr(0, 2, 10 * kMbps);
     Flit f;
     f.seq = 0;
-    f.readyTime = 0;
+    f.setReadyTime(0);
     ASSERT_TRUE(router.inject(id, f));
     run(3);
     ASSERT_EQ(deliveries.size(), 1u);
@@ -121,7 +121,7 @@ TEST_F(RouterTest, PerConnectionFifoOrder)
         const ConnId target = i % 2 ? a : b;
         Flit f;
         f.seq = seq[target]++;
-        f.readyTime = 0;
+        f.setReadyTime(0);
         ASSERT_TRUE(router.inject(target, f));
     }
     run(40);
@@ -143,7 +143,7 @@ TEST_F(RouterTest, FlitConservation)
         if (t % 5 == 0) {
             Flit f;
             f.seq = injected++;
-            f.readyTime = t;
+            f.setReadyTime(t);
             ASSERT_TRUE(router.inject(id, f));
         }
         kernel.step();
@@ -193,7 +193,7 @@ TEST_F(RouterTest, ControlCutThroughOnIdleRouter)
 {
     Flit f;
     f.conn = 999;
-    f.readyTime = 0;
+    f.setReadyTime(0);
     router.offerControl(1, 3, f);
     run(1);
     ASSERT_EQ(deliveries.size(), 1u);
@@ -215,7 +215,7 @@ TEST_F(RouterTest, BlockedControlFallsBackToScheduling)
     run(2); // stream occupies output 3
     Flit ctl;
     ctl.conn = 999;
-    ctl.readyTime = 2;
+    ctl.setReadyTime(2);
     router.offerControl(1, 3, ctl);
     run(20);
     EXPECT_GE(router.bypassMisses(), 1u);
@@ -241,7 +241,7 @@ TEST_F(RouterTest, ControlPreemptsStreamsInScheduling)
     run(1);
     Flit ctl;
     ctl.conn = 999;
-    ctl.readyTime = 1;
+    ctl.setReadyTime(1);
     router.offerControl(1, 3, ctl);
     run(30);
     // Find the control delivery and check stream flits still queued
@@ -386,7 +386,7 @@ TEST_F(RouterTest, DelayMetricsMatchDefinitions)
     const ConnId id = router.openCbr(0, 2, 10 * kMbps);
     metrics.startMeasurement(0);
     Flit f;
-    f.readyTime = 0;
+    f.setReadyTime(0);
     ASSERT_TRUE(router.inject(id, f));
     run(3);
     const ConnectionRecorder *rec = metrics.connection(id);

@@ -119,7 +119,7 @@ TEST(CbrQuotaProperty, MisbehavingSourceIsThrottled)
     kernel.add(&router);
     for (Cycle t = 0; t < 10 * round; ++t) {
         Flit f;
-        f.readyTime = t;
+        f.setReadyTime(t);
         router.inject(id, f); // may be rejected when full: flooding
         kernel.step();
     }
@@ -160,7 +160,7 @@ TEST(CbrQuotaProperty, AllocationIsAlsoDeliveredWhenBacklogged)
     kernel.add(&router);
     for (Cycle t = 0; t < 8 * round; ++t) {
         Flit f;
-        f.readyTime = t;
+        f.setReadyTime(t);
         router.inject(id, f);
         kernel.step();
     }

@@ -1,0 +1,280 @@
+/**
+ * @file
+ * Naive references for two switch-scheduling fast paths.
+ *
+ *  - GreedyPriorityScheduler: the merge path (pre-sorted per-input
+ *    lists, walked tier by tier) and the flat path (one global sort)
+ *    against a plain tiered augmenting-path matcher written from the
+ *    §4.3/§4.4 description, on seeded random candidate sets.
+ *  - LinkScheduler's cached eligibility mask, refreshed word-parallel
+ *    from the memory's dirty set, against a per-VC loop that applies
+ *    the §4.1 conditions from scratch, on ports wider than one word.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <numeric>
+#include <vector>
+
+#include "base/rng.hh"
+#include "router/link_sched.hh"
+#include "router/switch_sched.hh"
+
+namespace mmr
+{
+namespace
+{
+
+bool
+ranksAbove(const Candidate &a, const Candidate &b)
+{
+    if (a.tier != b.tier)
+        return a.tier > b.tier;
+    if (a.prio != b.prio)
+        return a.prio > b.prio;
+    return a.tie > b.tie;
+}
+
+/**
+ * Tier by tier from the top: inputs try, in the order of their best
+ * candidate, to claim an output along an augmenting path that may
+ * re-route earlier inputs of the same tier; ports won by a higher
+ * tier (or busy in @p masks) are out of reach.
+ */
+Matching
+naiveGreedyMatching(const std::vector<std::vector<Candidate>> &per_input,
+                    const PortMasks &masks, unsigned ports)
+{
+    std::vector<Candidate> all;
+    for (const auto &list : per_input)
+        all.insert(all.end(), list.begin(), list.end());
+    std::stable_sort(all.begin(), all.end(), ranksAbove);
+    std::vector<bool> in_taken(ports), out_taken(ports);
+    for (unsigned p = 0; p < ports; ++p) {
+        in_taken[p] = masks.busyIn.test(p);
+        out_taken[p] = masks.busyOut.test(p);
+    }
+    Matching out;
+    for (std::size_t b = 0, e = 0; b < all.size(); b = e) {
+        while (e < all.size() && all[e].tier == all[b].tier)
+            ++e;
+        std::vector<std::vector<Candidate>> req(ports);
+        for (std::size_t i = b; i < e; ++i)
+            if (!in_taken[all[i].in] && !out_taken[all[i].out])
+                req[all[i].in].push_back(all[i]);
+        std::vector<int> holder(ports, -1);
+        std::vector<const Candidate *> choice(ports, nullptr);
+        std::vector<bool> tried(ports), visited;
+        std::function<bool(unsigned)> augment = [&](unsigned in) {
+            for (const Candidate &c : req[in]) {
+                if (visited[c.out])
+                    continue;
+                visited[c.out] = true;
+                if (holder[c.out] < 0 ||
+                    augment(static_cast<unsigned>(holder[c.out]))) {
+                    holder[c.out] = static_cast<int>(in);
+                    choice[in] = &c;
+                    return true;
+                }
+            }
+            return false;
+        };
+        for (std::size_t i = b; i < e; ++i) {
+            const unsigned in = all[i].in;
+            if (in_taken[in] || tried[in])
+                continue;
+            tried[in] = true;
+            visited.assign(ports, false);
+            augment(in);
+        }
+        for (unsigned in = 0; in < ports; ++in) {
+            if (choice[in] != nullptr) {
+                out.push_back(*choice[in]);
+                in_taken[in] = true;
+                out_taken[choice[in]->out] = true;
+            }
+        }
+    }
+    return out;
+}
+
+TEST(SchedReference, GreedyPriorityMatchesNaiveMatcher)
+{
+    unsigned merge_sets = 0, flat_sets = 0, grants = 0;
+    for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+        Rng rng(seed);
+        const auto ports = static_cast<unsigned>(2 + rng.below(7));
+        // Distinct tie-breaks make the rank a total order, as the
+        // link scheduler's per-VC ties do.
+        std::vector<double> ties(ports * 6);
+        std::iota(ties.begin(), ties.end(), 1.0);
+        rng.shuffle(ties);
+        std::size_t next_tie = 0;
+        std::vector<std::vector<Candidate>> per_input(ports);
+        for (unsigned in = 0; in < ports; ++in) {
+            const auto n = rng.below(6);
+            for (std::uint64_t k = 0; k < n; ++k) {
+                Candidate c;
+                c.in = static_cast<PortId>(in);
+                c.vc = static_cast<VcId>(k);
+                c.out = static_cast<PortId>(rng.below(ports));
+                c.outVc = static_cast<VcId>(rng.below(4));
+                c.conn = static_cast<ConnId>(100 * in + k);
+                c.tier = static_cast<int>(rng.below(4));
+                c.prio = static_cast<double>(rng.below(3));
+                c.tie = ties[next_tie++];
+                per_input[in].push_back(c);
+            }
+        }
+        // Router-shaped (each list in rank order) takes the merge
+        // path; a list left unsorted sends the set down the flat path.
+        const bool router_shaped = seed % 2 == 0;
+        if (router_shaped) {
+            for (auto &list : per_input)
+                std::sort(list.begin(), list.end(), ranksAbove);
+        }
+        PortMasks masks(ports);
+        for (unsigned p = 0; p < ports; ++p) {
+            if (rng.chance(0.1))
+                masks.busyIn.set(p);
+            if (rng.chance(0.1))
+                masks.busyOut.set(p);
+        }
+
+        GreedyPriorityScheduler sched(ports);
+        Matching got;
+        sched.scheduleInto(per_input, masks, rng, got);
+        const Matching want = naiveGreedyMatching(per_input, masks, ports);
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].in, want[i].in) << "seed " << seed;
+            EXPECT_EQ(got[i].vc, want[i].vc) << "seed " << seed;
+            EXPECT_EQ(got[i].out, want[i].out) << "seed " << seed;
+            EXPECT_EQ(got[i].outVc, want[i].outVc) << "seed " << seed;
+        }
+        grants += static_cast<unsigned>(got.size());
+        (router_shaped ? merge_sets : flat_sets) += 1;
+    }
+    EXPECT_EQ(merge_sets, 200u);
+    EXPECT_EQ(flat_sets, 200u);
+    EXPECT_GT(grants, 800u) << "candidate sets too sparse to compare";
+}
+
+/** §4.1: a VC may compete when it is bound and mapped, holds a flit
+ * no grant covers yet, has a downstream credit, and (CBR, VBR) has
+ * quota left this round. */
+BitVector
+naiveEligibleMask(const VcMemory &mem, const CreditManager &credits)
+{
+    BitVector mask(mem.numVcs());
+    for (VcId v = 0; v < mem.numVcs(); ++v) {
+        const VcState &vc = mem.vc(v);
+        if (!vc.bound() || !vc.mapped() ||
+            vc.depth() <= vc.pendingGrants() ||
+            credits.credits(vc.outPort(), vc.outVc()) == 0)
+            continue;
+        unsigned quota = ~0u;
+        if (vc.trafficClass() == TrafficClass::CBR)
+            quota = vc.allocCycles();
+        else if (vc.trafficClass() == TrafficClass::VBR)
+            quota = vc.peakCycles();
+        if (quota == ~0u || vc.serviced() + vc.pendingGrants() < quota)
+            mask.set(v);
+    }
+    return mask;
+}
+
+TEST(SchedReference, WordParallelEligibilityMatchesNaiveMask)
+{
+    constexpr unsigned kOutputs = 4;
+    constexpr unsigned kOutVcs = 3;
+    constexpr unsigned kVcs = 150; ///< three words, the last partial
+    std::uint64_t incremental = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng rng(seed);
+        VcMemory mem(kVcs, 4);
+        CreditManager credits(kOutputs, kOutVcs, 2);
+        LinkScheduler sched(0, &mem, kOutputs, PriorityPolicy::Biased, 32,
+                            false);
+        const auto rebind = [&](VcId v) {
+            VcState &vc = mem.vc(v);
+            if (vc.bound())
+                vc.release();
+            const auto conn = static_cast<ConnId>(v + 1);
+            switch (rng.below(3)) {
+              case 0:
+                vc.bindCbr(conn, static_cast<unsigned>(rng.below(4)), 8.0);
+                break;
+              case 1:
+                vc.bindVbr(conn, 0, static_cast<unsigned>(rng.below(4)),
+                           8.0, 0);
+                break;
+              default:
+                vc.bindBestEffort(conn);
+                break;
+            }
+            if (rng.chance(0.9))
+                vc.setMapping(static_cast<PortId>(rng.below(kOutputs)),
+                              static_cast<VcId>(rng.below(kOutVcs)));
+            mem.markSchedDirty(v);
+        };
+        for (VcId v = 0; v < kVcs; ++v)
+            rebind(v);
+
+        std::vector<Candidate> got;
+        std::vector<VcId> granted;
+        for (Cycle now = 0; now < 2000; ++now) {
+            // Last cycle's grants drain: pop, count the service.
+            for (VcId v : granted) {
+                VcState &vc = mem.vc(v);
+                vc.pop();
+                mem.noteDrained(v);
+                vc.noteGrantApplied();
+                vc.noteServiced();
+            }
+            granted.clear();
+            for (int k = 0; k < 4; ++k) {
+                const auto v = static_cast<VcId>(rng.below(kVcs));
+                if (mem.freeSlots(v) > 0) {
+                    Flit f;
+                    f.setReadyTime(now);
+                    mem.deposit(v, f);
+                }
+            }
+            if (rng.chance(0.02)) {
+                const auto v = static_cast<VcId>(rng.below(kVcs));
+                if (mem.vc(v).empty() && mem.vc(v).pendingGrants() == 0)
+                    rebind(v);
+            }
+            // Rare credit moves: most refreshes stay incremental.
+            if (rng.chance(0.1)) {
+                const auto o = static_cast<PortId>(rng.below(kOutputs));
+                const auto ov = static_cast<VcId>(rng.below(kOutVcs));
+                if (credits.credits(o, ov) > 0 && rng.chance(0.5))
+                    credits.consume(o, ov);
+                else if (credits.credits(o, ov) < 2)
+                    credits.replenish(o, ov);
+            }
+
+            got.clear();
+            sched.collectCandidates(now, kOutputs, credits, rng, got);
+            ASSERT_EQ(sched.cachedEligibleMask(),
+                      naiveEligibleMask(mem, credits))
+                << "seed " << seed << " cycle " << now;
+            for (const Candidate &c : got) {
+                if (rng.chance(0.7)) {
+                    mem.vc(c.vc).noteGrantIssued(now);
+                    mem.markSchedDirty(c.vc);
+                    granted.push_back(c.vc);
+                }
+            }
+        }
+        incremental += sched.maskIncrementalRefreshes();
+    }
+    EXPECT_GT(incremental, 4000u) << "the word-parallel path barely ran";
+}
+
+} // namespace
+} // namespace mmr

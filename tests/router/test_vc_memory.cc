@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <deque>
+#include <set>
 
 #include "base/rng.hh"
 #include "router/vc_memory.hh"
@@ -119,7 +121,7 @@ class VcMemoryModelRun
                 Flit f;
                 f.conn = v + 1;
                 f.seq = nextSeq++;
-                f.readyTime = now;
+                f.setReadyTime(now);
                 const bool fits = m.flits.size() < depthLimit;
                 ASSERT_EQ(mem.deposit(v, f), fits);
                 if (fits)
@@ -141,7 +143,7 @@ class VcMemoryModelRun
                 mem.noteDrained(v);
                 vc.noteGrantApplied();
                 ASSERT_EQ(f.seq, m.flits.front().seq);
-                ASSERT_EQ(f.readyTime, m.flits.front().readyTime);
+                ASSERT_EQ(f.readyTime(), m.flits.front().readyTime());
                 m.flits.pop_front();
                 --m.pending;
             }
@@ -211,6 +213,78 @@ TEST(VcMemoryDifferential, MatchesDequeModel)
                 if (::testing::Test::HasFatalFailure())
                     return;
             }
+        }
+    }
+}
+
+/**
+ * The same model run on slot-major ports of 1, 8 and 256 VCs, where
+ * ring slot s of VC v sits next to slot s of VCs v-1 and v+1: a stride
+ * or offset slip makes neighbouring VCs overwrite each other's flits,
+ * which the per-VC deques catch at the next pop or head check.
+ */
+TEST(VcMemoryDifferential, SlotMajorPortsMatchDequeModel)
+{
+    std::uint64_t seed = 100;
+    for (unsigned vcs : {1u, 8u, 256u}) {
+        for (unsigned depth : {1u, 4u, 5u, 64u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << vcs << " VCs, depth " << depth);
+            VcMemoryModelRun run(vcs, depth, seed++);
+            // Enough steps that every VC fills and drains repeatedly.
+            const unsigned steps = 4000 + 60 * vcs;
+            for (unsigned i = 0; i < steps; ++i) {
+                run.step();
+                run.check();
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+        }
+    }
+}
+
+/**
+ * Host-independent residency bound: when every VC of a port holds at
+ * most k flits, the slots in use are the first k rows of the
+ * slot-major RAM, so they span at most ceil(k * vcs * sizeof(Flit) /
+ * 4096) + 1 distinct 4 KiB pages (the +1 for a block that does not
+ * start on a page boundary).  Each VC first cycles 1 to 5 flits
+ * through its ring, so only the restart at slot 0 keeps the bound.
+ */
+TEST(VcMemoryResidency, LightlyLoadedVcsShareTheirPages)
+{
+    constexpr std::uintptr_t kPage = 4096;
+    for (unsigned vcs : {8u, 64u, 256u}) {
+        for (unsigned k : {1u, 2u, 4u}) {
+            SCOPED_TRACE(::testing::Message() << vcs << " VCs, k " << k);
+            VcMemory mem(vcs, 64);
+            std::uint32_t seq = 0;
+            for (VcId v = 0; v < vcs; ++v) {
+                mem.vc(v).bindBestEffort(v + 1);
+                const unsigned cycled = 1 + v % 5;
+                for (unsigned i = 0; i < cycled; ++i)
+                    ASSERT_TRUE(mem.deposit(v, makeFlit(seq++)));
+                for (unsigned i = 0; i < cycled; ++i) {
+                    mem.vc(v).pop();
+                    mem.noteDrained(v);
+                }
+                for (unsigned i = 0; i < k; ++i)
+                    ASSERT_TRUE(mem.deposit(v, makeFlit(seq++)));
+            }
+            std::set<std::uintptr_t> pages;
+            for (VcId v = 0; v < vcs; ++v) {
+                while (!mem.vc(v).empty()) {
+                    const auto addr = reinterpret_cast<std::uintptr_t>(
+                        &mem.vc(v).head());
+                    pages.insert(addr / kPage);
+                    pages.insert((addr + sizeof(Flit) - 1) / kPage);
+                    mem.vc(v).pop();
+                    mem.noteDrained(v);
+                }
+            }
+            const std::size_t bound =
+                (k * vcs * sizeof(Flit) + kPage - 1) / kPage + 1;
+            EXPECT_LE(pages.size(), bound);
         }
     }
 }
