@@ -135,7 +135,7 @@ main(int argc, char **argv)
         cli.flag("shards", "1,2,4,8", "shard counts to chart");
         cli.flag("seed", "42", "experiment seed");
         cli.flag("warmup", "200", "warm-up flit cycles");
-        cli.flag("measure", "600", "measured flit cycles");
+        cli.flag("measure", "6000", "measured flit cycles");
         cli.flag("smoke", "0",
                  "smoke mode: 256-router run asserting digest "
                  "equality only (CI scaling-smoke job)");

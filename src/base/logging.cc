@@ -74,7 +74,9 @@ defaultSink(LogLevel l, const std::string &msg)
 
 LogLevel threshold = levelFromEnv();
 log::SinkFn sink; ///< empty = defaultSink
-log::PanicHookFn panicHook = nullptr;
+/** Atomic: every thread's flight recorder installs it, and parallel
+ * sweeps activate one recorder per worker thread. */
+std::atomic<log::PanicHookFn> panicHook{nullptr};
 
 void
 emit(LogLevel l, const std::string &msg)
@@ -125,9 +127,7 @@ setSink(SinkFn s)
 PanicHookFn
 setPanicHook(PanicHookFn hook)
 {
-    PanicHookFn prev = panicHook;
-    panicHook = hook;
-    return prev;
+    return panicHook.exchange(hook);
 }
 
 } // namespace log
@@ -143,9 +143,10 @@ panicImpl(const char *file, int line, const std::string &msg)
     // Give the flight recorder its last gasp, guarding against a
     // panic raised from inside the hook itself.
     static thread_local bool inHook = false;
-    if (panicHook != nullptr && !inHook) {
+    const log::PanicHookFn hook = panicHook.load();
+    if (hook != nullptr && !inHook) {
         inHook = true;
-        panicHook(msg.c_str());
+        hook(msg.c_str());
         inHook = false;
     }
     std::abort();

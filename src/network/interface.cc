@@ -216,8 +216,17 @@ NetworkInterface::streamOpen(Stream &s)
         return true;
     if (net.connectionState(s.conn) != Network::ConnState::Open)
         return false;
-    net.injectTicket(s.conn, s.ticketSlot, s.ticketEpoch);
+    refreshEndpoint(s);
     return true;
+}
+
+void
+NetworkInterface::refreshEndpoint(Stream &s)
+{
+    if (net.injectTicket(s.conn, s.ticketSlot, s.ticketEpoch))
+        s.handle = net.resolveInject(s.conn);
+    else
+        s.handle = {};
 }
 
 void
@@ -232,10 +241,15 @@ NetworkInterface::pollStream(Stream &s, Cycle now)
         droppedInRecovery += n;
     } else if (n > 0 || !s.backlog.empty()) {
         // Flit-batch processing per (port, VC): every flit this stream
-        // sends this cycle lands in the same input FIFO, so the
-        // connection-map lookups are paid once per (stream, cycle)
-        // instead of once per flit.
-        Network::InjectHandle ep = net.resolveInject(s.conn);
+        // sends lands in the same input FIFO, so the connection-map
+        // lookups are paid once per ticket instead of once per flit.
+        // A ticket dies whenever the connection fails, closes or
+        // frees its slot (and a replaced connection's ticket died
+        // with the old one), so a live ticket proves the handle
+        // current.
+        if (!net.injectTicketLive(s.ticketSlot, s.ticketEpoch))
+            refreshEndpoint(s);
+        Network::InjectHandle &ep = s.handle;
         // Drain the back-pressure backlog first, preserving order.
         while (!s.backlog.empty()) {
             if (!ep.valid() || !ep.push(s.backlog.front(), now))

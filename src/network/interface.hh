@@ -118,6 +118,13 @@ class NetworkInterface
         /** Injection ticket of conn; the default slot reads dead. */
         std::uint32_t ticketSlot = ~0u;
         std::uint32_t ticketEpoch = 0;
+        /**
+         * Injection endpoint resolved under the ticket above.  While
+         * the ticket is live the connection is open, not closing and
+         * not failed, and its source router, port, VC, class and
+         * endpoints cannot change, so the handle stays current.
+         */
+        Network::InjectHandle handle;
         ConnId conn;
         /** Waiting on the RecoveryManager for a replacement path. */
         bool recovering = false;
@@ -137,6 +144,13 @@ class NetworkInterface
      * back to the connection-state lookup and re-mints the ticket.
      */
     bool streamOpen(Stream &s);
+
+    /**
+     * Re-mint @p s's dead ticket and re-resolve its handle under it.
+     * A closing or gone connection mints nothing: the ticket stays
+     * dead and the handle invalid, as resolveInject() would give.
+     */
+    void refreshEndpoint(Stream &s);
 
     /** One due stream's cycle: poll its source, inject or drop the
      * arrivals, drain its backlog, and set its next due cycle. */

@@ -36,6 +36,8 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
             shardOf[n] = s;
     mailboxes = std::vector<ShardMailbox>(numShards);
     inboxes = std::vector<ShardInbox>(numShards);
+    outboxes = std::vector<CreditOutbox>(numShards * numShards);
+    audits = std::vector<ShardAudit>(numShards);
     pool = std::make_unique<ShardPool>(numShards);
     arrivePhase = [this](unsigned s) { applyInbox(s); };
     evalPhase = [this](unsigned s) {
@@ -45,6 +47,23 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
     advPhase = [this](unsigned s) {
         for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n)
             routers[n]->advance(phaseCycle);
+    };
+    auditPhase = [this](unsigned s) {
+        // The probe ledger is only read here: probes step in the
+        // evaluate prologue, before this phase's barrier.
+        ShardAudit &a = audits[s];
+        for (NodeId n = shardStart[s]; n < shardStart[s + 1]; ++n) {
+            const MmrRouter::ExtraDemandFn probes =
+                [this, n](std::vector<unsigned> &alloc,
+                          std::vector<unsigned> &peak) {
+                    probeMgr->accountReservations(n, alloc, peak);
+                };
+            a.violation = routers[n]->audit(auditSweep, probes, a.ran);
+            if (a.violation) {
+                a.node = n;
+                return;
+            }
+        }
     };
 
     routers.reserve(topo.numNodes());
@@ -59,6 +78,18 @@ Network::Network(Topology topo_, NetworkConfig cfg_)
     linkDown.resize(topo.numNodes());
     for (NodeId n = 0; n < topo.numNodes(); ++n)
         linkDown[n].assign(topo.degree(n), false);
+    // An input port forwards at most one flit, so returns at most one
+    // credit, per cycle, and an output port (the NI's included) takes
+    // one: size the credit outboxes for their links and each inbox
+    // for its routers' NI ports once, so no congestion peak allocates.
+    std::vector<std::size_t> outboxLinks(outboxes.size(), 0);
+    for (NodeId n = 0; n < topo.numNodes(); ++n)
+        for (const auto &link : topo.ports(n))
+            ++outboxLinks[shardOf[n] * numShards + shardOf[link.neighbor]];
+    for (std::size_t b = 0; b < outboxes.size(); ++b)
+        outboxes[b].credits.reserve(outboxLinks[b]);
+    for (unsigned s = 0; s < numShards; ++s)
+        inboxes[s].credits.reserve(shardStart[s + 1] - shardStart[s]);
 
     routerOf = [this](NodeId n) -> MmrRouter & { return *routers[n]; };
     niPortOf = [this](NodeId n) { return niPort(n); };
@@ -113,7 +144,9 @@ Network::failLink(NodeId a, NodeId b)
     // Flits already in flight on the dead link — in the serial queue
     // or in a shard inbox — are lost; return their credits so the
     // upstream VC is not wedged forever.  In-place compaction
-    // preserves the FIFO order of the survivors.
+    // preserves the FIFO order of the survivors.  Credits already on
+    // their way upstream (outboxes, inbox credits) are for flits that
+    // left the link downstream, so they still land.
     const auto purge = [&](std::vector<LinkFlit> &queue) {
         std::size_t kept = 0;
         for (LinkFlit &lf : queue) {
@@ -230,22 +263,24 @@ Network::routerAt(NodeId n)
     return *routers[n];
 }
 
-// mmr-lint: allow(hot-path-alloc) amortized: the mailbox logs the
-// router callbacks append to keep their capacity across cycles, so a
-// steady-state parallel phase allocates nothing.
+// mmr-lint: allow(hot-path-alloc) amortized: the mailbox logs and
+// credit outboxes the router callbacks append to keep their capacity
+// across cycles, so a steady-state parallel phase allocates nothing.
 void
 Network::wireRouter(NodeId n)
 {
-    // Every callback becomes a mailbox record on the emitting router's
-    // shard instead of being applied inline: the handlers touch other
-    // routers (credit upstream, link queues, end-to-end stats), which
-    // a worker thread must not do.  The coordinator replays the logs
-    // after the phase barrier in shard order, which for a
-    // contiguous-id partition is the ascending-router order.  The
-    // callbacks that log fire only inside a phase: sink and credit
-    // return come from router evaluate/advance, and the one
-    // out-of-phase segment removal (processPendingCloses) removes PCS
-    // segments, which return below before logging anything.
+    // No callback is applied inline: the handlers touch other routers
+    // (credit upstream, link queues, end-to-end stats), which a worker
+    // thread must not do.  A link credit goes straight to the outbox
+    // toward the upstream router's shard, which applies it in the
+    // next arrival phase.  Egress and segment removal become mailbox
+    // records on the emitting router's shard, which the coordinator
+    // replays after the phase barrier in shard order — for a
+    // contiguous-id partition, the ascending-router order.  The
+    // callbacks that log fire only inside a phase: sink comes from
+    // router evaluate/advance, and the one out-of-phase segment
+    // removal (processPendingCloses) removes PCS segments, which
+    // return below before logging anything.
     const unsigned shard = shardOf[n];
     routers[n]->setSink(
         [this, n, shard](PortId out, VcId out_vc, const Flit &f, Cycle) {
@@ -255,8 +290,13 @@ Network::wireRouter(NodeId n)
         });
     routers[n]->setCreditReturn(
         [this, n, shard](PortId in, VcId vc, Cycle) {
-            mailboxes[shard].log.push_back(
-                {n, in, vc, DeferredEvent::Kind::Credit});
+            if (in >= topo.degree(n))
+                return; // NI-side injection is limited by deposit space
+            // Links are simple (no parallel edges), so the port the
+            // flit came in on names the upstream end exactly.
+            const auto &link = topo.ports(n)[in];
+            outboxes[shard * numShards + shardOf[link.neighbor]]
+                .credits.push_back({link.neighbor, link.remotePort, vc});
         });
     routers[n]->setSegmentRemoved(
         [this, n, shard](const SegmentParams &seg) {
@@ -328,21 +368,6 @@ Network::handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
         inboxes[shardOf[lf.toNode]].flits.push_back(std::move(lf));
     else
         linkQueue.push_back(std::move(lf));
-}
-
-// mmr-lint: allow(hot-path-alloc) amortized: the inbox credit vectors
-// are members whose capacity persists across cycles.
-void
-Network::handleCreditReturn(NodeId n, PortId in, VcId vc, Cycle now)
-{
-    (void)now;
-    if (in >= topo.degree(n))
-        return; // NI-side injection is limited by deposit space
-    // Links are simple (no parallel edges), so the port the flit came
-    // in on names the upstream end exactly.
-    const auto &link = topo.ports(n)[in];
-    inboxes[shardOf[link.neighbor]].credits.push_back(
-        {link.neighbor, link.remotePort, vc});
 }
 
 void
@@ -1067,6 +1092,13 @@ Network::evaluate(Cycle now)
 void
 Network::applyInbox(unsigned s)
 {
+    for (unsigned from = 0; from < numShards; ++from) {
+        std::vector<CreditReturn> &credits =
+            outboxes[from * numShards + s].credits;
+        for (const CreditReturn &c : credits)
+            routers[c.node]->credits().replenish(c.port, c.vc);
+        credits.clear();
+    }
     ShardInbox &box = inboxes[s];
     for (const CreditReturn &c : box.credits)
         routers[c.node]->credits().replenish(c.port, c.vc);
@@ -1105,7 +1137,7 @@ Network::drainMailboxes(Cycle now)
     // Deterministic merge: ascending shard id, per-shard append
     // (emission) order.  With contiguous-id partitions this replays
     // every deferred side effect — link-queue pushes, corrupt-hook
-    // RNG draws, upstream credit returns, end-to-end FP accumulation —
+    // RNG draws, upstream VC releases, end-to-end FP accumulation —
     // in ascending router id whatever the shard count, which is what
     // keeps networkResultDigest bit-identical across shard counts
     // (DESIGN.md §12).
@@ -1117,9 +1149,6 @@ Network::drainMailboxes(Cycle now)
             case DeferredEvent::Kind::Egress:
                 handleEgress(e.node, e.port, e.vc,
                              box.egressFlits[egress++], now);
-                break;
-            case DeferredEvent::Kind::Credit:
-                handleCreditReturn(e.node, e.port, e.vc, now);
                 break;
             case DeferredEvent::Kind::SegRemoved:
                 handleSegmentRemoved(e.node, e.port, e.vc);
@@ -1135,17 +1164,32 @@ Network::drainMailboxes(Cycle now)
 // Invariant auditing
 // ---------------------------------------------------------------------
 
+std::uint64_t
+Network::auditRouters(Cycle now, bool sweep)
+{
+    auditSweep = sweep;
+    pool->runPhase(now, auditPhase);
+    // Contiguous-id shards, each stopped at its first violator: the
+    // first shard holding a violation holds the lowest violating
+    // router id, whichever shard found its violation first.
+    std::uint64_t ran = 0;
+    for (ShardAudit &a : audits) {
+        if (a.violation)
+            invariant::enforce(a.violation,
+                               "router " + std::to_string(a.node) + ": ");
+        ran += a.ran;
+        a.ran = 0;
+    }
+    return ran;
+}
+
 void
 Network::registerInvariants(InvariantChecker &chk, unsigned sweep_period)
 {
-    for (NodeId n = 0; n < topo.numNodes(); ++n) {
-        routers[n]->registerInvariants(
-            chk, sweep_period, "router" + std::to_string(n) + ".",
-            [this, n](std::vector<unsigned> &alloc,
-                      std::vector<unsigned> &peak) {
-                probeMgr->accountReservations(n, alloc, peak);
-            });
-    }
+    mmr_assert(sweep_period > 0, "router sweep needs period >= 1");
+    chk.addBatch("routers", [this, sweep_period](Cycle now, bool all) {
+        return auditRouters(now, all || now % sweep_period == 0);
+    });
 
     // Both directions of a link agree on its health — the fault
     // model's own bookkeeping is self-consistent.

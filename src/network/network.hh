@@ -162,11 +162,14 @@ class Network : public Clocked
      * (port, VC).  resolveInject() pays the two per-connection hash
      * lookups (network connection map, then the source router's
      * segment map) once; every push() after that deposits straight
-     * into the resolved (input port, VC) FIFO.  A handle is only good
-     * for the flit cycle it was resolved in: teardown and link
+     * into the resolved (input port, VC) FIFO.  A handle stays good
+     * while an injection ticket of its connection minted no later
+     * than the handle reads live (injectTicketLive): every transition
+     * that would change what resolveInject() returns — failure,
+     * close, slot free — kills the ticket, and teardown and link
      * failure happen between host ticks (in the network's evaluate
-     * prologue), so a host interface that re-resolves each tick stays
-     * bit-identical to calling inject() per flit.
+     * prologue).  So a host that re-resolves only on a dead ticket
+     * stays bit-identical to calling inject() per flit.
      */
     class InjectHandle
     {
@@ -191,7 +194,7 @@ class Network : public Clocked
         TrafficClass klass = TrafficClass::CBR;
     };
 
-    /** Resolve @p id for batched injection this flit cycle. */
+    /** Resolve @p id for batched injection (see InjectHandle). */
     InjectHandle resolveInject(ConnId id);
 
     /**
@@ -310,11 +313,13 @@ class Network : public Clocked
 
     /**
      * Register the full invariant battery over this network into
-     * @p chk: every router's seven invariants under a "router<N>."
-     * prefix — with the admission-ledger audit extended by the
-     * bandwidth in-flight setup probes hold — plus the network-level
-     * link-state symmetry and PCS segment-consistency checks.  The
-     * checker must tick after the network.
+     * @p chk: one "routers" batch entry that audits every router's
+     * six invariants in a shard phase (MmrRouter::audit, with the
+     * admission-ledger audit extended by the bandwidth in-flight
+     * setup probes hold; matching-validity every cycle, the rest every
+     * @p sweep_period cycles), plus the network-level link-state
+     * symmetry and PCS segment-consistency checks.  The checker must
+     * tick after the network.
      */
     void registerInvariants(InvariantChecker &chk,
                             unsigned sweep_period = 16);
@@ -428,7 +433,6 @@ class Network : public Clocked
     void wireRouter(NodeId n);
     void handleEgress(NodeId n, PortId out, VcId out_vc, const Flit &f,
                       Cycle now);
-    void handleCreditReturn(NodeId n, PortId in, VcId vc, Cycle now);
     void handleSegmentRemoved(NodeId n, PortId in, VcId in_vc);
     void deliverToHost(NodeId n, const Flit &f, Cycle now);
 
@@ -439,29 +443,28 @@ class Network : public Clocked
     /**
      * One router callback captured during a phase instead of being
      * applied inline.  A worker only ever touches its own
-     * shard's routers plus its own shard's mailbox; every cross-shard
-     * (and cross-router) side effect — link egress, upstream credit
-     * return, upstream VC release on segment removal — becomes one of
+     * shard's routers plus its own shard's mailbox and outboxes; the
+     * side effects that need the serial network-wide view — link
+     * egress and upstream VC release on segment removal — become
      * these records, replayed by the coordinator after the phase
      * barrier in ascending shard order.  Within a shard the log is
      * append-ordered, so the replay order is ascending router id at
      * every shard count and the results are bit-identical (see
      * DESIGN.md §12 for the full argument).  A record is 12 bytes:
      * the flit of an egress rides in the mailbox's parallel flit log,
-     * so credits and segment removals carry none.
+     * so segment removals carry none.
      */
     struct DeferredEvent
     {
         enum class Kind : std::uint8_t
         {
             Egress,    ///< sink callback: flit leaving a router
-            Credit,    ///< credit return toward the upstream router
             SegRemoved ///< datagram segment freed its upstream link VC
         };
 
         NodeId node;
-        PortId port; ///< Egress: out port; Credit, SegRemoved: in port
-        VcId vc;     ///< Egress: out VC;   Credit, SegRemoved: in VC
+        PortId port; ///< Egress: out port; SegRemoved: in port
+        VcId vc;     ///< Egress: out VC;   SegRemoved: in VC
         Kind kind;
     };
 
@@ -488,17 +491,41 @@ class Network : public Clocked
      * Per-shard arrival inbox: the data-plane work of a link that
      * lands on this shard's routers.  The coordinator fills it while
      * draining the mailboxes; the owning shard empties it in the next
-     * evaluate's arrival phase, so a credit and an uncorrupted stream
-     * flit only ever touch the router at their own end of the link on
-     * the thread that owns it.  The shard counts what it applied; the
-     * coordinator folds the counts in after the phase.
+     * evaluate's arrival phase, so an NI credit and an uncorrupted
+     * stream flit only ever touch the router at their own end of the
+     * link on the thread that owns it.  The shard counts what it
+     * applied; the coordinator folds the counts in after the phase.
      */
     struct alignas(64) ShardInbox
     {
-        std::vector<CreditReturn> credits;
+        std::vector<CreditReturn> credits; ///< NI-port credits only
         std::vector<LinkFlit> flits; ///< uncorrupted stream flits only
         std::uint64_t transits = 0;  ///< flits applied this phase
         std::uint64_t rejects = 0;   ///< of those, refused by a full VC
+    };
+
+    /**
+     * Link credits on their way upstream, one box per (emitting
+     * shard, destination shard) pair.  A router's credit-return
+     * callback appends straight into the box of its own shard and the
+     * upstream router's shard; the destination shard replenishes
+     * from its boxes in source-shard order in the next arrival phase.
+     * No coordinator replay: a credit only increments counters, so
+     * the order in which one phase's credits land is unobservable.
+     * Padded: each box has one writer per phase.
+     */
+    struct alignas(64) CreditOutbox
+    {
+        std::vector<CreditReturn> credits;
+    };
+
+    /** One shard's result of the router-audit phase, padded: every
+     * shard writes its own concurrently. */
+    struct alignas(64) ShardAudit
+    {
+        std::uint64_t ran = 0;      ///< checks run this phase
+        NodeId node = kInvalidNode; ///< the shard's first violator
+        InvariantViolation violation;
     };
 
     /** Run @p phase on every shard, then drain the mailboxes. */
@@ -508,21 +535,35 @@ class Network : public Clocked
     /** Replay every mailbox in (shard, emission) order, then clear. */
     MMR_HOT_PATH void drainMailboxes(Cycle now);
 
-    /** Arrival phase body: apply shard @p s's inbox, then clear it. */
+    /** Arrival phase body: apply shard @p s's credit outboxes and
+     * inbox, then clear them. */
     MMR_HOT_PATH void applyInbox(unsigned s);
+
+    /**
+     * The "routers" invariant batch: one shard phase in which every
+     * shard audits its routers in ascending id (all six checks when
+     * @p sweep, else matching-validity) and stops at its first
+     * violation.  After the barrier the violation of the lowest
+     * router id panics; otherwise returns the number of checks run.
+     */
+    std::uint64_t auditRouters(Cycle now, bool sweep);
 
     unsigned numShards = 1;
     std::vector<NodeId> shardStart; ///< numShards+1 fenceposts
     std::vector<unsigned> shardOf;  ///< node id -> shard id
     std::vector<ShardMailbox> mailboxes;
     std::vector<ShardInbox> inboxes;
+    std::vector<CreditOutbox> outboxes; ///< [source * numShards + dest]
+    std::vector<ShardAudit> audits;
     std::unique_ptr<ShardPool> pool;
 
     /** Pre-bound phase callbacks (no per-cycle allocation). */
     std::function<void(unsigned)> arrivePhase;
     std::function<void(unsigned)> evalPhase;
     std::function<void(unsigned)> advPhase;
+    std::function<void(unsigned)> auditPhase;
     Cycle phaseCycle = 0;
+    bool auditSweep = false; ///< this audit phase runs every check
 
     /**
      * Try to give a datagram its next hop at @p node: pick an output

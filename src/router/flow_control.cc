@@ -26,17 +26,17 @@ CreditManager::reset(PortId port, VcId vc)
     ++ver;
 }
 
-void
+InvariantViolation
 CreditManager::audit(const CensusFn &census) const
 {
     if (infinite)
-        return; // counters are frozen at the initial depth
+        return {}; // counters are frozen at the initial depth
     std::uint64_t outstanding = 0;
     for (PortId p = 0; p < numPorts; ++p) {
         for (VcId v = 0; v < numVcs; ++v) {
             const unsigned c = counters[index(p, v)];
             if (c > initial) {
-                mmr_invariant_violated(
+                return mmr_invariant_failure(
                     "credit-ledger", "(", p, ",", v, ") holds ", c,
                     " credits, above the downstream depth ", initial);
             }
@@ -44,7 +44,7 @@ CreditManager::audit(const CensusFn &census) const
             if (census) {
                 const unsigned occ = census(p, v);
                 if (c + occ != initial) {
-                    mmr_invariant_violated(
+                    return mmr_invariant_failure(
                         "credit-ledger", "(", p, ",", v, "): ", c,
                         " credits + ", occ,
                         " downstream flits != depth ", initial);
@@ -55,20 +55,22 @@ CreditManager::audit(const CensusFn &census) const
     const std::uint64_t drained = statReplenished + statResetReclaimed;
     if (statConsumed < drained ||
         outstanding != statConsumed - drained) {
-        mmr_invariant_violated(
+        return mmr_invariant_failure(
             "credit-ledger", "outstanding census ", outstanding,
             " != consumed ", statConsumed, " - replenished ",
             statReplenished, " - reclaimed ", statResetReclaimed);
     }
+    return {};
 }
 
 void
 CreditManager::registerInvariants(InvariantChecker &chk, CensusFn census,
-                                  unsigned period,
-                                  const std::string &prefix) const
+                                  unsigned period) const
 {
-    chk.add(prefix + "credit-ledger",
-            [this, census = std::move(census)](Cycle) { audit(census); },
+    chk.add("credit-ledger",
+            [this, census = std::move(census)](Cycle) {
+                invariant::enforce(audit(census));
+            },
             period);
 }
 

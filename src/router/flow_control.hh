@@ -22,11 +22,10 @@
 #include "base/logging.hh"
 #include "base/types.hh"
 #include "router/flit.hh"
+#include "sim/invariant.hh"
 
 namespace mmr
 {
-
-class InvariantChecker;
 
 /** Per-(output port, output VC) credit counters. */
 class CreditManager
@@ -121,21 +120,19 @@ class CreditManager
     using CensusFn = std::function<unsigned(PortId, VcId)>;
 
     /**
-     * Audit credit conservation; panics on violation.  The internal
+     * Audit credit conservation ('credit-ledger').  The internal
      * ledger (credits outstanding == consumed - replenished - amounts
      * reclaimed by reset()) is always checked; when @p census is
      * provided, each counter is additionally checked against the
      * actual downstream buffer: credits + occupancy == initial depth.
      */
-    void audit(const CensusFn &census = nullptr) const;
+    [[nodiscard]] InvariantViolation
+    audit(const CensusFn &census = nullptr) const;
 
-    /** Register the 'credit-ledger' invariant with an auditor.  A
-     * non-empty @p prefix namespaces the invariant ("router3.credit-
-     * ledger") so many routers can share one checker. */
+    /** Register the 'credit-ledger' invariant with an auditor. */
     void registerInvariants(InvariantChecker &chk,
                             CensusFn census = nullptr,
-                            unsigned period = 1,
-                            const std::string &prefix = {}) const;
+                            unsigned period = 1) const;
 
   private:
     std::size_t

@@ -39,6 +39,8 @@ MmrRouter::MmrRouter(const RouterConfig &cfg_, MetricsRecorder *metrics_)
     nextMatching.reserve(cfg.numPorts);
     configScratch.reserve(cfg.numPorts);
     lastConfig.reserve(cfg.numPorts);
+    ledgerAlloc.resize(cfg.numPorts);
+    ledgerPeak.resize(cfg.numPorts);
     PriorityPolicy policy = PriorityPolicy::Biased;
     if (cfg.scheduler == SchedulerKind::FixedPriority)
         policy = PriorityPolicy::Fixed;
@@ -684,125 +686,165 @@ MmrRouter::forwardedByClass(TrafficClass c) const
 // Invariant auditing
 // ---------------------------------------------------------------------
 
-void
-MmrRouter::registerInvariants(InvariantChecker &chk,
-                              unsigned sweep_period,
-                              const std::string &prefix,
-                              ExtraDemandFn extra_demand)
+const char *
+MmrRouter::checkName(Check c)
 {
-    // Flit conservation (§3.1: credit-based flow control "guarantees
-    // flits are never dropped").  Every flit that entered a VC memory
-    // is either still buffered or was forwarded through the crossbar;
-    // bypass cut-throughs never enter a VC memory and are excluded
-    // from both sides.  Occupancy is read from the per-memory counter
-    // (O(P) rather than O(P*V)); the vc-occupancy invariant below
-    // cross-checks that counter against the FIFO ground truth on the
-    // same stride, so a flit removed behind the router's back is still
-    // caught.
-    chk.add(
-        prefix + "flit-conservation",
-        [this](Cycle) {
-            std::uint64_t buffered = 0;
-            for (const VcMemory &m : inputMems)
-                buffered += m.occupancy();
-            const std::uint64_t via_switch =
-                statForwarded - statBypassHits;
-            if (statInjected != via_switch + buffered) {
-                mmr_invariant_violated(
-                    "flit-conservation", statInjected,
-                    " flits injected != ", via_switch,
-                    " forwarded through the switch + ", buffered,
-                    " still buffered");
-            }
-        },
-        sweep_period);
+    switch (c) {
+      case Check::FlitConservation:
+        return "flit-conservation";
+      case Check::VcOccupancy:
+        return "vc-occupancy";
+      case Check::VcLegality:
+        return "vc-legality";
+      case Check::AdmissionLedger:
+        return "admission-ledger";
+      case Check::MatchingValidity:
+        return "matching-validity";
+      case Check::CreditLedger:
+        return "credit-ledger";
+    }
+    mmr_panic("unhandled router check");
+}
 
-    // VC memory occupancy bookkeeping matches the FIFO ground truth.
-    chk.add(
-        prefix + "vc-occupancy",
-        [this](Cycle) {
-            for (const VcMemory &m : inputMems)
-                m.auditOccupancy();
-        },
-        sweep_period);
+InvariantViolation
+MmrRouter::runCheck(Check c, const ExtraDemandFn &extra_demand) const
+{
+    switch (c) {
+      case Check::FlitConservation: {
+        // Flit conservation (§3.1: credit-based flow control
+        // "guarantees flits are never dropped").  Every flit that
+        // entered a VC memory is either still buffered or was
+        // forwarded through the crossbar; bypass cut-throughs never
+        // enter a VC memory and are excluded from both sides.
+        // Occupancy is read from the per-memory counter (O(P) rather
+        // than O(P*V)); vc-occupancy cross-checks that counter against
+        // the FIFO ground truth on the same stride, so a flit removed
+        // behind the router's back is still caught.
+        std::uint64_t buffered = 0;
+        for (const VcMemory &m : inputMems)
+            buffered += m.occupancy();
+        const std::uint64_t via_switch = statForwarded - statBypassHits;
+        if (statInjected != via_switch + buffered) {
+            return mmr_invariant_failure(
+                "flit-conservation", statInjected,
+                " flits injected != ", via_switch,
+                " forwarded through the switch + ", buffered,
+                " still buffered");
+        }
+        return {};
+      }
+      case Check::VcOccupancy:
+        // VC memory occupancy bookkeeping matches the FIFO ground
+        // truth.
+        for (const VcMemory &m : inputMems)
+            if (InvariantViolation v = m.auditOccupancy())
+                return v;
+        return {};
+      case Check::VcLegality:
+        // VC state machine legality: free VCs hold nothing, mapped
+        // VCs are bound, pending grants are covered by buffered flits.
+        for (const VcMemory &m : inputMems)
+            if (InvariantViolation v = m.auditLegality())
+                return v;
+        return {};
+      case Check::AdmissionLedger:
+        return auditAdmissionLedger(extra_demand);
+      case Check::MatchingValidity:
+        // Crossbar matching validity: the matching applied next cycle
+        // grants each input and each output at most once (§3.3).
+        return SwitchScheduler::auditMatching(
+            currentMatching, cfg.numPorts, sched->allowsOutputSharing());
+      case Check::CreditLedger:
+        // Credit conservation (§4.2), internal ledger form.
+        return creditMgr.audit();
+    }
+    mmr_panic("unhandled router check");
+}
 
-    // VC state machine legality: free VCs hold nothing, mapped VCs
-    // are bound, pending grants are covered by buffered flits.
-    chk.add(
-        prefix + "vc-legality",
-        [this](Cycle) {
-            for (const VcMemory &m : inputMems)
-                m.auditLegality();
-        },
-        sweep_period);
-
+InvariantViolation
+MmrRouter::auditAdmissionLedger(const ExtraDemandFn &extra_demand) const
+{
     // Admission ledger (§4.2): the per-link allocated/peak registers
     // equal the sum over installed segments, and stay within the round
     // minus the best-effort reserve.
-    chk.add(
-        prefix + "admission-ledger",
-        [this, extra_demand = std::move(extra_demand)](Cycle) {
-            std::vector<unsigned> alloc(cfg.numPorts, 0);
-            std::vector<unsigned> peak(cfg.numPorts, 0);
-            if (extra_demand)
-                extra_demand(alloc, peak);
-            // Slot order; commutative integer sums into per-port
-            // accumulators, so visit order cannot leak into results.
-            conns.forEach([&](ConnId, const SegmentParams &p) {
-                if (p.klass == TrafficClass::CBR) {
-                    alloc[p.out] += p.allocCycles;
-                } else if (p.klass == TrafficClass::VBR) {
-                    alloc[p.out] += p.permCycles;
-                    peak[p.out] += p.peakCycles;
-                }
-            });
-            const double peak_limit =
-                static_cast<double>(admit.reservableCycles()) *
-                admit.concurrency();
-            for (PortId o = 0; o < cfg.numPorts; ++o) {
-                if (admit.allocatedCycles(o) != alloc[o]) {
-                    mmr_invariant_violated(
-                        "admission-ledger", "output ", o,
-                        ": allocated register ",
-                        admit.allocatedCycles(o),
-                        " != sum of bound segments ", alloc[o]);
-                }
-                if (admit.peakCycles(o) != peak[o]) {
-                    mmr_invariant_violated(
-                        "admission-ledger", "output ", o,
-                        ": peak register ", admit.peakCycles(o),
-                        " != sum of bound segments ", peak[o]);
-                }
-                if (admit.allocatedCycles(o) >
-                    admit.reservableCycles()) {
-                    mmr_invariant_violated(
-                        "admission-ledger", "output ", o,
-                        ": allocated ", admit.allocatedCycles(o),
-                        " cycles/round exceeds the reservable ",
-                        admit.reservableCycles(),
-                        " (round minus best-effort reserve)");
-                }
-                if (static_cast<double>(admit.peakCycles(o)) >
-                    peak_limit) {
-                    mmr_invariant_violated(
-                        "admission-ledger", "output ", o, ": peak ",
-                        admit.peakCycles(o),
-                        " cycles/round exceeds reservable x "
-                        "concurrency = ", peak_limit);
-                }
-            }
-        },
-        sweep_period);
-
-    // Crossbar matching validity: the matching applied next cycle
-    // grants each input and each output at most once (§3.3).
-    chk.add(prefix + "matching-validity", [this](Cycle) {
-        SwitchScheduler::auditMatching(currentMatching, cfg.numPorts,
-                                       sched->allowsOutputSharing());
+    std::vector<unsigned> &alloc = ledgerAlloc;
+    std::vector<unsigned> &peak = ledgerPeak;
+    std::fill(alloc.begin(), alloc.end(), 0u);
+    std::fill(peak.begin(), peak.end(), 0u);
+    if (extra_demand)
+        extra_demand(alloc, peak);
+    // Slot order; commutative integer sums into per-port
+    // accumulators, so visit order cannot leak into results.
+    conns.forEach([&](ConnId, const SegmentParams &p) {
+        if (p.klass == TrafficClass::CBR) {
+            alloc[p.out] += p.allocCycles;
+        } else if (p.klass == TrafficClass::VBR) {
+            alloc[p.out] += p.permCycles;
+            peak[p.out] += p.peakCycles;
+        }
     });
+    const double peak_limit =
+        static_cast<double>(admit.reservableCycles()) * admit.concurrency();
+    for (PortId o = 0; o < cfg.numPorts; ++o) {
+        if (admit.allocatedCycles(o) != alloc[o]) {
+            return mmr_invariant_failure(
+                "admission-ledger", "output ", o,
+                ": allocated register ", admit.allocatedCycles(o),
+                " != sum of bound segments ", alloc[o]);
+        }
+        if (admit.peakCycles(o) != peak[o]) {
+            return mmr_invariant_failure(
+                "admission-ledger", "output ", o, ": peak register ",
+                admit.peakCycles(o), " != sum of bound segments ",
+                peak[o]);
+        }
+        if (admit.allocatedCycles(o) > admit.reservableCycles()) {
+            return mmr_invariant_failure(
+                "admission-ledger", "output ", o, ": allocated ",
+                admit.allocatedCycles(o),
+                " cycles/round exceeds the reservable ",
+                admit.reservableCycles(),
+                " (round minus best-effort reserve)");
+        }
+        if (static_cast<double>(admit.peakCycles(o)) > peak_limit) {
+            return mmr_invariant_failure(
+                "admission-ledger", "output ", o, ": peak ",
+                admit.peakCycles(o),
+                " cycles/round exceeds reservable x concurrency = ",
+                peak_limit);
+        }
+    }
+    return {};
+}
 
-    // Credit conservation (§4.2), internal ledger form.
-    creditMgr.registerInvariants(chk, nullptr, sweep_period, prefix);
+InvariantViolation
+MmrRouter::audit(bool sweep, const ExtraDemandFn &extra_demand,
+                 std::uint64_t &ran) const
+{
+    if (!sweep) {
+        ++ran;
+        return runCheck(Check::MatchingValidity);
+    }
+    for (unsigned i = 0; i < kNumChecks; ++i) {
+        ++ran;
+        if (InvariantViolation v =
+                runCheck(static_cast<Check>(i), extra_demand))
+            return v;
+    }
+    return {};
+}
+
+void
+MmrRouter::registerInvariants(InvariantChecker &chk, unsigned sweep_period)
+{
+    // The sweeps over all P x V virtual channels run on the stride;
+    // matching-validity is cheap and runs every cycle.
+    for (unsigned i = 0; i < kNumChecks; ++i) {
+        const auto c = static_cast<Check>(i);
+        chk.add(checkName(c),
+                [this, c](Cycle) { invariant::enforce(runCheck(c)); },
+                c == Check::MatchingValidity ? 1 : sweep_period);
+    }
 }
 
 // ---------------------------------------------------------------------

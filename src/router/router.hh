@@ -182,20 +182,50 @@ class MmrRouter : public Clocked
      *
      * @param sweep_period stride for the sweeps over all P x V virtual
      *        channels; cheap per-cycle checks always run every cycle
-     * @param prefix namespaces the invariant names ("router3.flit-
-     *        conservation") so many routers can share one checker
-     * @param extra_demand optional hook adding per-output bandwidth
-     *        held outside installed segments (in-flight setup probes)
-     *        to the admission-ledger audit; the vectors arrive sized
-     *        numPorts and zeroed
+     */
+    void registerInvariants(InvariantChecker &chk,
+                            unsigned sweep_period = 16);
+
+    /** The router's invariants, in registration (and audit) order. */
+    enum class Check : std::uint8_t
+    {
+        FlitConservation,
+        VcOccupancy,
+        VcLegality,
+        AdmissionLedger,
+        MatchingValidity, ///< the one check that runs every cycle
+        CreditLedger
+    };
+    static constexpr unsigned kNumChecks = 6;
+    static const char *checkName(Check c);
+
+    /**
+     * Optional hook adding per-output bandwidth held outside installed
+     * segments (in-flight setup probes) to the admission-ledger audit;
+     * the vectors arrive sized numPorts and zeroed.
      */
     using ExtraDemandFn =
         std::function<void(std::vector<unsigned> &alloc,
                            std::vector<unsigned> &peak)>;
-    void registerInvariants(InvariantChecker &chk,
-                            unsigned sweep_period = 16,
-                            const std::string &prefix = {},
-                            ExtraDemandFn extra_demand = nullptr);
+
+    /**
+     * Run one invariant body against committed state.  It reports
+     * instead of panicking, so a network shard worker can run it;
+     * registerInvariants() wraps each in invariant::enforce().
+     * Reads only this router (and @p extra_demand's source).
+     */
+    [[nodiscard]] InvariantViolation
+    runCheck(Check c, const ExtraDemandFn &extra_demand = nullptr) const;
+
+    /**
+     * One audit pass as a network's shard phase runs it: every check
+     * in registration order when @p sweep, else matching-validity
+     * only; stops at the first violation.  Adds the number of checks
+     * run to @p ran.
+     */
+    [[nodiscard]] InvariantViolation
+    audit(bool sweep, const ExtraDemandFn &extra_demand,
+          std::uint64_t &ran) const;
 
     // ------------------------------------------------------------------
     // Observability (obs/ layer)
@@ -252,6 +282,8 @@ class MmrRouter : public Clocked
     void deliver(const Candidate &grant, Flit &&flit, Cycle now,
                  const StageSample &stages);
     void maybeAutoRelease(ConnId id, PortId in, VcId in_vc);
+    InvariantViolation
+    auditAdmissionLedger(const ExtraDemandFn &extra_demand) const;
 
     RouterConfig cfg;
     MetricsRecorder *metrics;
@@ -309,6 +341,10 @@ class MmrRouter : public Clocked
     std::vector<BypassReq> bypassPending;
     std::vector<std::pair<PortId, PortId>> configScratch;
     std::vector<std::pair<PortId, PortId>> lastConfig; ///< reconfig cmp
+    /** admission-ledger's per-output sums, sized once: the audit runs
+     * on the owning shard and allocates nothing. */
+    mutable std::vector<unsigned> ledgerAlloc;
+    mutable std::vector<unsigned> ledgerPeak;
 
     // Hot statistic counters (the values StatsRegistry probes bind
     // to), bumped every cycle by whichever shard worker owns this

@@ -73,7 +73,7 @@ SwitchScheduler::validate(const Matching &m, unsigned num_ports,
     return true;
 }
 
-void
+InvariantViolation
 SwitchScheduler::auditMatching(const Matching &m, unsigned num_ports,
                                bool allow_output_sharing)
 {
@@ -81,21 +81,23 @@ SwitchScheduler::auditMatching(const Matching &m, unsigned num_ports,
     PortUseMask out_used(num_ports);
     for (const Candidate &c : m) {
         if (c.in >= num_ports || c.out >= num_ports) {
-            mmr_invariant_violated("matching-validity", "grant (",
-                                   c.in, " -> ", c.out,
-                                   ") references a port outside the ",
-                                   num_ports, "-port switch");
+            return mmr_invariant_failure(
+                "matching-validity", "grant (", c.in, " -> ", c.out,
+                ") references a port outside the ", num_ports,
+                "-port switch");
         }
         if (!in_used.claim(c.in)) {
-            mmr_invariant_violated("matching-validity", "input port ",
-                                   c.in, " matched twice in one cycle");
+            return mmr_invariant_failure("matching-validity",
+                                         "input port ", c.in,
+                                         " matched twice in one cycle");
         }
         if (!allow_output_sharing && !out_used.claim(c.out)) {
-            mmr_invariant_violated("matching-validity",
-                                   "output port ", c.out,
-                                   " matched twice in one cycle");
+            return mmr_invariant_failure("matching-validity",
+                                         "output port ", c.out,
+                                         " matched twice in one cycle");
         }
     }
+    return {};
 }
 
 std::unique_ptr<SwitchScheduler>

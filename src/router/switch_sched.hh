@@ -35,6 +35,7 @@
 #include "base/rng.hh"
 #include "router/config.hh"
 #include "router/link_sched.hh"
+#include "sim/invariant.hh"
 
 namespace mmr
 {
@@ -99,12 +100,13 @@ class SwitchScheduler
                          bool allow_output_sharing);
 
     /**
-     * Panic variant of validate(): reports the offending grant through
-     * the 'matching-validity' invariant.  Used by the runtime invariant
+     * Reporting variant of validate(): names the offending grant as a
+     * 'matching-validity' violation.  Used by the runtime invariant
      * auditor on the matching applied each flit cycle.
      */
-    static void auditMatching(const Matching &m, unsigned num_ports,
-                              bool allow_output_sharing);
+    [[nodiscard]] static InvariantViolation
+    auditMatching(const Matching &m, unsigned num_ports,
+                  bool allow_output_sharing);
 
     /** Instantiate the scheduler selected by the configuration. */
     static std::unique_ptr<SwitchScheduler> create(

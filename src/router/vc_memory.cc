@@ -71,7 +71,7 @@ VcMemory::VcMemory(unsigned nvcs, unsigned per_vc_depth)
         vcs.emplace_back(FlitFifo(ram.get() + v, ring, nvcs));
 }
 
-void
+InvariantViolation
 VcMemory::auditOccupancy() const
 {
     std::size_t total = 0;
@@ -79,53 +79,57 @@ VcMemory::auditOccupancy() const
         const std::size_t d = vcs[v].depth();
         total += d;
         if (d > perVcDepth) {
-            mmr_invariant_violated("vc-occupancy", "VC ", v, " holds ",
-                                   d, " flits, above the depth limit ",
-                                   perVcDepth);
+            return mmr_invariant_failure("vc-occupancy", "VC ", v,
+                                         " holds ", d,
+                                         " flits, above the depth limit ",
+                                         perVcDepth);
         }
         if (flitsAvail.test(v) != (d > 0)) {
-            mmr_invariant_violated(
+            return mmr_invariant_failure(
                 "vc-occupancy", "VC ", v, " has depth ", d,
                 " but its flits-available bit is ",
                 flitsAvail.test(v) ? "set" : "clear");
         }
     }
     if (total != occupied) {
-        mmr_invariant_violated("vc-occupancy", "occupancy counter ",
-                               occupied, " != summed FIFO depths ",
-                               total);
+        return mmr_invariant_failure("vc-occupancy", "occupancy counter ",
+                                     occupied, " != summed FIFO depths ",
+                                     total);
     }
+    return {};
 }
 
-void
+InvariantViolation
 VcMemory::auditLegality() const
 {
     for (std::size_t v = 0; v < vcs.size(); ++v) {
         const VcState &s = vcs[v];
         if (!s.bound()) {
             if (!s.empty()) {
-                mmr_invariant_violated("vc-legality", "free VC ", v,
-                                       " still buffers ", s.depth(),
-                                       " flits");
+                return mmr_invariant_failure("vc-legality", "free VC ", v,
+                                             " still buffers ", s.depth(),
+                                             " flits");
             }
             if (s.mapped()) {
-                mmr_invariant_violated("vc-legality", "free VC ", v,
-                                       " still maps to output (",
-                                       s.outPort(), ",", s.outVc(), ")");
+                return mmr_invariant_failure(
+                    "vc-legality", "free VC ", v,
+                    " still maps to output (", s.outPort(), ",",
+                    s.outVc(), ")");
             }
             if (s.pendingGrants() != 0) {
-                mmr_invariant_violated("vc-legality", "free VC ", v,
-                                       " has ", s.pendingGrants(),
-                                       " pending grants");
+                return mmr_invariant_failure("vc-legality", "free VC ", v,
+                                             " has ", s.pendingGrants(),
+                                             " pending grants");
             }
         }
         if (s.pendingGrants() > s.depth()) {
-            mmr_invariant_violated("vc-legality", "VC ", v, " has ",
-                                   s.pendingGrants(),
-                                   " pending grants but only ",
-                                   s.depth(), " buffered flits");
+            return mmr_invariant_failure("vc-legality", "VC ", v, " has ",
+                                         s.pendingGrants(),
+                                         " pending grants but only ",
+                                         s.depth(), " buffered flits");
         }
     }
+    return {};
 }
 
 } // namespace mmr

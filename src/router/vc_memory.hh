@@ -25,6 +25,7 @@
 #include "base/bitvector.hh"
 #include "base/logging.hh"
 #include "router/vc_state.hh"
+#include "sim/invariant.hh"
 
 namespace mmr
 {
@@ -182,18 +183,18 @@ class VcMemory
     }
 
     /**
-     * Occupancy conservation audit ('vc-occupancy'); panics when the
+     * Occupancy conservation audit ('vc-occupancy'); reports when the
      * shared occupancy counter, the per-VC FIFO depths, the per-VC
      * depth limit, or the flits-available bit vector disagree.
      */
-    void auditOccupancy() const;
+    [[nodiscard]] InvariantViolation auditOccupancy() const;
 
     /**
-     * VC state-machine legality audit ('vc-legality'); panics when a
+     * VC state-machine legality audit ('vc-legality'); reports when a
      * free VC still holds flits, a mapping, or pending grants, or when
-     * a mapped VC is not bound.
+     * a VC has more pending grants than buffered flits.
      */
-    void auditLegality() const;
+    [[nodiscard]] InvariantViolation auditLegality() const;
 
   private:
     struct RamFree

@@ -68,6 +68,16 @@ clearOverride()
     runtimeOverride.reset();
 }
 
+void
+enforce(const InvariantViolation &v, const std::string &where)
+{
+    if (v)
+        detail::panicImpl(v.file, v.line,
+                          detail::concat("invariant '", v.check,
+                                         "' violated: ", where,
+                                         v.detail));
+}
+
 } // namespace invariant
 
 void
@@ -76,7 +86,27 @@ InvariantChecker::add(std::string name, CheckFn fn, unsigned period)
     mmr_assert(fn != nullptr, "invariant '", name, "' has no predicate");
     mmr_assert(period > 0, "invariant '", name, "' needs period >= 1");
     mmr_assert(!has(name), "invariant '", name, "' registered twice");
-    entries.push_back(Entry{std::move(name), std::move(fn), period});
+    entries.push_back(Entry{std::move(name), std::move(fn), nullptr,
+                            period});
+}
+
+void
+InvariantChecker::addBatch(std::string name, BatchFn fn)
+{
+    mmr_assert(fn != nullptr, "invariant '", name, "' has no predicate");
+    mmr_assert(!has(name), "invariant '", name, "' registered twice");
+    entries.push_back(Entry{std::move(name), nullptr, std::move(fn), 1});
+}
+
+void
+InvariantChecker::runEntry(const Entry &e, Cycle now, bool all) const
+{
+    if (e.batch) {
+        ran += e.batch(now, all);
+        return;
+    }
+    e.fn(now);
+    ++ran;
 }
 
 bool
@@ -101,8 +131,7 @@ InvariantChecker::run(const std::string &name, Cycle now) const
 {
     for (const Entry &e : entries) {
         if (e.name == name) {
-            e.fn(now);
-            ++ran;
+            runEntry(e, now, true);
             return;
         }
     }
@@ -114,10 +143,8 @@ InvariantChecker::checkAll(Cycle now) const
 {
     if (!invariant::enabled())
         return;
-    for (const Entry &e : entries) {
-        e.fn(now);
-        ++ran;
-    }
+    for (const Entry &e : entries)
+        runEntry(e, now, true);
 }
 
 void
@@ -126,10 +153,8 @@ InvariantChecker::advance(Cycle now)
     if (!invariant::enabled())
         return;
     for (const Entry &e : entries) {
-        if (e.period == 1 || now % e.period == 0) {
-            e.fn(now);
-            ++ran;
-        }
+        if (e.period == 1 || now % e.period == 0)
+            runEntry(e, now, false);
     }
 }
 

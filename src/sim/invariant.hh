@@ -67,10 +67,48 @@ void clearOverride();
     mmr_panic("invariant '", name, "' violated: ", __VA_ARGS__)
 
 /**
+ * What a check body that reports instead of panicking returns: empty
+ * while the invariant holds, else the violated invariant's name, what
+ * was seen and where.  Bodies that may run on a shard worker return
+ * one, so the worker records the violation and the coordinator
+ * panics after the phase barrier (invariant::enforce).
+ */
+struct InvariantViolation
+{
+    const char *check = nullptr; ///< violated invariant; null: held
+    const char *file = nullptr;
+    int line = 0;
+    std::string detail;
+
+    explicit operator bool() const { return check != nullptr; }
+};
+
+/** Build the InvariantViolation of check @p name at the call site. */
+#define mmr_invariant_failure(name, ...) \
+    ::mmr::InvariantViolation{name, __FILE__, __LINE__, \
+                              ::mmr::detail::concat(__VA_ARGS__)}
+
+namespace invariant
+{
+
+/**
+ * Panic on @p v, if set, with the standard message ("invariant
+ * '<check>' violated: <where><detail>") at the check's file/line;
+ * @p where names the component ("router 7: ") when many share a check.
+ */
+void enforce(const InvariantViolation &v, const std::string &where = {});
+
+} // namespace invariant
+
+/**
  * Registry of named invariant predicates, audited once per cycle.
  *
  * Check functions receive the current cycle and must either return
- * normally (invariant holds) or panic via mmr_invariant_violated.
+ * normally (invariant holds) or panic via mmr_invariant_violated.  A
+ * batch entry runs a group of checks with periods of its own (a
+ * network's router audit, one shard phase over every router) and
+ * reports how many it ran, so checksRun() counts individual checks
+ * either way.
  */
 // mmr-lint: allow(clocked-invariants) the auditor itself: it runs the
 // registered checks and has no invariants of its own to register.
@@ -87,6 +125,16 @@ class InvariantChecker : public Clocked
      * @param period audit every @p period cycles (>= 1)
      */
     void add(std::string name, CheckFn fn, unsigned period = 1);
+
+    /**
+     * Batch body: runs the checks due at the cycle (all of them when
+     * the flag is set, for run() and checkAll()), panics on a
+     * violation, and returns how many checks it ran.
+     */
+    using BatchFn = std::function<std::uint64_t(Cycle, bool all)>;
+
+    /** Register a batch entry; it is called every cycle. */
+    void addBatch(std::string name, BatchFn fn);
 
     /** Number of registered invariants. */
     std::size_t size() const { return entries.size(); }
@@ -114,9 +162,13 @@ class InvariantChecker : public Clocked
     struct Entry
     {
         std::string name;
-        CheckFn fn;
+        CheckFn fn;     ///< single check; empty for a batch
+        BatchFn batch;  ///< batch of checks; empty for a single one
         unsigned period;
     };
+
+    /** Run @p e (every check of a batch when @p all) and count. */
+    void runEntry(const Entry &e, Cycle now, bool all) const;
 
     std::vector<Entry> entries;
     mutable std::uint64_t ran = 0;

@@ -22,6 +22,7 @@
 #include "network/interface.hh"
 #include "obs/flight_recorder.hh"
 #include "router/router.hh"
+#include "sim/invariant.hh"
 #include "sim/kernel.hh"
 #include "workload/churn.hh"
 
@@ -334,6 +335,66 @@ TEST(ZeroAlloc, BlockedDatagramRetriesAllocateNothing)
     ASSERT_GT(parked, 0u) << "no datagram blocked in the window";
     EXPECT_EQ(allocations.load(), 0u)
         << "blocked-datagram retries hit the heap ("
+        << allocations.load() << " allocations)";
+}
+
+/**
+ * The network's router audit runs as a shard phase after advance:
+ * each shard walks its own routers and calls their check bodies
+ * directly, with admission-ledger summing into per-router scratch.
+ * On a 2-shard network under CBR load, a window holding four sweep
+ * cycles (every check of every router) plus the per-cycle
+ * matching-validity audits allocates nothing.
+ */
+TEST(ZeroAlloc, NetworkAuditPhaseAllocatesNothing)
+{
+    struct AuditOn
+    {
+        AuditOn() { invariant::setEnabled(true); }
+        ~AuditOn() { invariant::clearOverride(); }
+    } auditOn;
+    NetworkConfig ncfg;
+    ncfg.seed = 31;
+    ncfg.shards = 2;
+    ncfg.router.vcsPerPort = 16;
+    ncfg.router.candidates = 4;
+    Network net(topologyFromSpec("mesh:3x3", ncfg.seed), ncfg);
+    ASSERT_EQ(net.shards(), 2u);
+    std::vector<std::unique_ptr<NetworkInterface>> hosts;
+    for (NodeId n = 0; n < net.numNodes(); ++n) {
+        hosts.push_back(
+            std::make_unique<NetworkInterface>(net, n, 200 + n));
+        ASSERT_TRUE(hosts.back()->openCbrStream(
+            (n + 4) % net.numNodes(), 20 * kMbps));
+    }
+    InvariantChecker checker;
+    net.registerInvariants(checker, 16);
+
+    Kernel kernel;
+    kernel.add(&net, "network");
+    kernel.add(&checker, "invariants");
+    const auto step = [&] {
+        for (auto &h : hosts)
+            h->tick(kernel.now());
+        kernel.step();
+    };
+    for (Cycle t = 0; t < 2000; ++t)
+        step();
+    ASSERT_GT(net.flitsDelivered(), 0u);
+
+    const std::uint64_t checksBefore = checker.checksRun();
+    allocations.store(0);
+    counting.store(true);
+    for (Cycle t = 0; t < 64; ++t)
+        step();
+    counting.store(false);
+
+    // 64 cycles: 9 matching-validity audits each, plus all six checks
+    // of all 9 routers and the two network checks on 4 sweep cycles.
+    EXPECT_EQ(checker.checksRun() - checksBefore,
+              64u * 9 + 4u * (5 * 9 + 2));
+    EXPECT_EQ(allocations.load(), 0u)
+        << "the router audit phase hit the heap ("
         << allocations.load() << " allocations)";
 }
 

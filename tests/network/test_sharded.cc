@@ -135,6 +135,62 @@ TEST(ShardedNetwork, ExplicitFaultEventsReplayIdentically)
         EXPECT_EQ(serial, digestAtShards(cfg, shards));
 }
 
+TEST(ShardedNetwork, InvariantChecksRunMatchSerial)
+{
+    InvariantGuard guard;
+    // The router audit runs as one shard phase; every shard count
+    // must run exactly the checks the serial audit runs.
+    auto cfg = baseConfig("min:2:3", 4242);
+    cfg.faults.linkFailPer10k = 1.0;
+    cfg.faults.meanRepairCycles = 1500;
+    cfg.net.shards = 1;
+    const std::uint64_t serial =
+        runNetworkExperiment(cfg).invariantChecks;
+    ASSERT_GT(serial, 0u);
+    for (unsigned shards : kShardCounts) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        cfg.net.shards = shards;
+        EXPECT_EQ(runNetworkExperiment(cfg).invariantChecks, serial);
+    }
+}
+
+/**
+ * Seed the same vc-legality violation (a free VC carrying an output
+ * mapping) in routers 70 and 192 of a 256-router MIN and run one
+ * sweep.  At 2 shards they sit in shards 0 and 1; at 4 shards in
+ * shards 1 and 3, where router 192 is its shard's first router and so
+ * is found first in wall time.  The panic must name router 70 either
+ * way.
+ */
+void
+auditTwoSeededViolations(unsigned shards)
+{
+    NetworkConfig ncfg;
+    ncfg.shards = shards;
+    ncfg.router.vcsPerPort = 8;
+    Network net(topologyFromSpec("min:4:4", 1), ncfg);
+    mmr_assert(net.numNodes() == 256 && net.shards() == shards,
+               "unexpected network shape");
+    for (const NodeId n : {NodeId{70}, NodeId{192}})
+        net.routerAt(n).inputMemory(1).vc(5).setMapping(2, 3);
+    InvariantChecker chk;
+    net.registerInvariants(chk, 16);
+    chk.advance(16); // a sweep cycle
+}
+
+TEST(ShardedNetworkDeath, AuditPanicNamesTheLowestViolatingRouter)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (unsigned shards : {2u, 4u}) {
+        for (int run = 0; run < 5; ++run) {
+            SCOPED_TRACE("shards " + std::to_string(shards) + " run " +
+                         std::to_string(run));
+            EXPECT_DEATH(auditTwoSeededViolations(shards),
+                         "invariant 'vc-legality' violated: router 70: ");
+        }
+    }
+}
+
 TEST(ShardedNetwork, ShardPartitionIsContiguousAndBalanced)
 {
     NetworkConfig ncfg;

@@ -70,7 +70,8 @@ TEST(Credits, LedgerCountsConsumeAndReplenish)
     cm.replenish(0, 0);
     EXPECT_EQ(cm.consumedCount(), 3u);
     EXPECT_EQ(cm.replenishedCount(), 1u);
-    cm.audit(); // outstanding (2) == consumed (3) - replenished (1)
+    // outstanding (2) == consumed (3) - replenished (1)
+    invariant::enforce(cm.audit());
 }
 
 TEST(Credits, AuditSurvivesResetReclaim)
@@ -79,9 +80,10 @@ TEST(Credits, AuditSurvivesResetReclaim)
     cm.consume(0, 0);
     cm.consume(0, 0);
     cm.reset(0, 0); // reclaims the 2 outstanding credits
-    cm.audit();     // ledger must account for the reclaim
+    // The ledger must account for the reclaim.
+    invariant::enforce(cm.audit());
     cm.consume(0, 0);
-    cm.audit();
+    invariant::enforce(cm.audit());
 }
 
 TEST(Credits, AuditWithHonestCensusPasses)
@@ -89,17 +91,18 @@ TEST(Credits, AuditWithHonestCensusPasses)
     CreditManager cm(2, 2, 3);
     cm.consume(1, 0);
     cm.consume(1, 0);
-    cm.audit([](PortId p, VcId v) -> unsigned {
+    invariant::enforce(cm.audit([](PortId p, VcId v) -> unsigned {
         return (p == 1 && v == 0) ? 2u : 0u;
-    });
+    }));
 }
 
 TEST(CreditsDeath, AuditCatchesLyingCensus)
 {
     CreditManager cm(1, 1, 3);
     cm.consume(0, 0);
-    EXPECT_DEATH(cm.audit([](PortId, VcId) { return 3u; }),
-                 "credit-ledger");
+    EXPECT_DEATH(
+        invariant::enforce(cm.audit([](PortId, VcId) { return 3u; })),
+        "credit-ledger");
 }
 
 TEST(CreditsDeath, OverConsumePanics)

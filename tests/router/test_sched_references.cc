@@ -1,11 +1,16 @@
 /**
  * @file
- * Naive references for two switch-scheduling fast paths.
+ * Naive references for the switch-scheduling fast paths.
  *
  *  - GreedyPriorityScheduler: the merge path (pre-sorted per-input
  *    lists, walked tier by tier) and the flat path (one global sort)
  *    against a plain tiered augmenting-path matcher written from the
  *    §4.3/§4.4 description, on seeded random candidate sets.
+ *  - IslipScheduler: request masks and findFirstWrap round-robin
+ *    scans against an N x N request matrix walked one pointer step at
+ *    a time, over sequences of calls so the pointers carry state.
+ *  - OutputDrivenScheduler: grant/accept masks cleared word-wide
+ *    against pointer tables re-nulled every iteration.
  *  - LinkScheduler's cached eligibility mask, refreshed word-parallel
  *    from the memory's dirty set, against a per-VC loop that applies
  *    the §4.1 conditions from scratch, on ports wider than one word.
@@ -16,6 +21,7 @@
 #include <algorithm>
 #include <functional>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "base/rng.hh"
@@ -160,6 +166,218 @@ TEST(SchedReference, GreedyPriorityMatchesNaiveMatcher)
     EXPECT_EQ(merge_sets, 200u);
     EXPECT_EQ(flat_sets, 200u);
     EXPECT_GT(grants, 800u) << "candidate sets too sparse to compare";
+}
+
+/** Seeded random candidate lists: up to five per input, distinct ties,
+ * ports busy with probability 0.1. */
+std::vector<std::vector<Candidate>>
+randomCandidates(Rng &rng, unsigned ports, PortMasks &masks)
+{
+    std::vector<std::vector<Candidate>> per_input(ports);
+    for (unsigned in = 0; in < ports; ++in) {
+        const auto n = rng.below(6);
+        for (std::uint64_t k = 0; k < n; ++k) {
+            Candidate c;
+            c.in = static_cast<PortId>(in);
+            c.vc = static_cast<VcId>(k);
+            c.out = static_cast<PortId>(rng.below(ports));
+            c.outVc = static_cast<VcId>(rng.below(4));
+            c.tier = static_cast<int>(rng.below(3));
+            c.prio = static_cast<double>(rng.below(3));
+            c.tie = static_cast<double>(in * 8 + k);
+            per_input[in].push_back(c);
+        }
+    }
+    for (unsigned p = 0; p < ports; ++p) {
+        masks.busyIn.clear(p);
+        masks.busyOut.clear(p);
+        if (rng.chance(0.1))
+            masks.busyIn.set(p);
+        if (rng.chance(0.1))
+            masks.busyOut.set(p);
+    }
+    return per_input;
+}
+
+void
+expectSameMatching(const Matching &got, const Matching &want,
+                   const std::string &where)
+{
+    ASSERT_EQ(got.size(), want.size()) << where;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].in, want[i].in) << where;
+        EXPECT_EQ(got[i].vc, want[i].vc) << where;
+        EXPECT_EQ(got[i].out, want[i].out) << where;
+        EXPECT_EQ(got[i].outVc, want[i].outVc) << where;
+    }
+}
+
+/**
+ * iSLIP as written: three request/grant/accept iterations over an
+ * N x N request matrix (the best candidate per pair by tier, then
+ * priority, the first kept on a tie); each free output grants the
+ * first requesting input at or after its pointer, each free input
+ * accepts the first granting output at or after its pointer, and
+ * only first-iteration accepts move the pointers.
+ */
+struct NaiveIslip
+{
+    explicit NaiveIslip(unsigned n) : ports(n), grantPtr(n), acceptPtr(n)
+    {
+    }
+
+    Matching
+    schedule(const std::vector<std::vector<Candidate>> &per_input,
+             const PortMasks &masks)
+    {
+        std::vector<bool> in_used(ports), out_used(ports);
+        for (unsigned p = 0; p < ports; ++p) {
+            in_used[p] = masks.busyIn.test(p);
+            out_used[p] = masks.busyOut.test(p);
+        }
+        Matching out;
+        for (int it = 0; it < 3; ++it) {
+            std::vector<const Candidate *> req(ports * ports, nullptr);
+            for (const auto &list : per_input) {
+                for (const Candidate &c : list) {
+                    if (in_used[c.in] || out_used[c.out])
+                        continue;
+                    const Candidate *&r = req[c.out * ports + c.in];
+                    if (r == nullptr || c.tier > r->tier ||
+                        (c.tier == r->tier && c.prio > r->prio))
+                        r = &c;
+                }
+            }
+            std::vector<const Candidate *> grant(ports, nullptr);
+            for (unsigned o = 0; o < ports; ++o) {
+                for (unsigned k = 0; k < ports && !out_used[o]; ++k) {
+                    const unsigned in = (grantPtr[o] + k) % ports;
+                    if (req[o * ports + in] != nullptr) {
+                        grant[o] = req[o * ports + in];
+                        break;
+                    }
+                }
+            }
+            for (unsigned in = 0; in < ports; ++in) {
+                for (unsigned k = 0; k < ports && !in_used[in]; ++k) {
+                    const unsigned o = (acceptPtr[in] + k) % ports;
+                    const Candidate *g = grant[o];
+                    if (g == nullptr || g->in != in)
+                        continue;
+                    in_used[in] = out_used[o] = true;
+                    out.push_back(*g);
+                    if (it == 0) {
+                        grantPtr[o] = (in + 1) % ports;
+                        acceptPtr[in] = (o + 1) % ports;
+                    }
+                }
+            }
+        }
+        return out;
+    }
+
+    unsigned ports;
+    std::vector<unsigned> grantPtr;
+    std::vector<unsigned> acceptPtr;
+};
+
+TEST(SchedReference, IslipMatchesNaiveRoundRobin)
+{
+    unsigned grants = 0, wide = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        Rng rng(seed);
+        // Some switches wider than one mask word, so the wrap crosses
+        // word boundaries.
+        const auto ports = static_cast<unsigned>(
+            seed % 6 == 0 ? 65 + rng.below(70) : 2 + rng.below(8));
+        wide += ports > 64 ? 1 : 0;
+        IslipScheduler sched(ports);
+        NaiveIslip naive(ports);
+        PortMasks masks(ports);
+        // A sequence of calls: the pointers carry over.
+        for (int call = 0; call < 40; ++call) {
+            const auto per_input = randomCandidates(rng, ports, masks);
+            Matching got;
+            sched.scheduleInto(per_input, masks, rng, got);
+            expectSameMatching(got, naive.schedule(per_input, masks),
+                               "seed " + std::to_string(seed) + " call " +
+                                   std::to_string(call));
+            grants += static_cast<unsigned>(got.size());
+        }
+    }
+    EXPECT_EQ(wide, 10u);
+    EXPECT_GT(grants, 4000u) << "candidate sets too sparse to compare";
+}
+
+/**
+ * Output-driven matching as written: up to three iterations in which
+ * every free output grants its best eligible request (tier, priority,
+ * tie; the first kept on a tie), every input accepts its best grant
+ * (outputs visited ascending), and accepts commit in input order;
+ * an iteration without an accept ends the matching.
+ */
+Matching
+naiveOutputDriven(const std::vector<std::vector<Candidate>> &per_input,
+                  const PortMasks &masks, unsigned ports)
+{
+    std::vector<bool> in_used(ports), out_used(ports);
+    for (unsigned p = 0; p < ports; ++p) {
+        in_used[p] = masks.busyIn.test(p);
+        out_used[p] = masks.busyOut.test(p);
+    }
+    Matching out;
+    for (int it = 0; it < 3; ++it) {
+        std::vector<const Candidate *> grant(ports, nullptr);
+        for (const auto &list : per_input)
+            for (const Candidate &c : list)
+                if (!in_used[c.in] && !out_used[c.out] &&
+                    (grant[c.out] == nullptr ||
+                     ranksAbove(c, *grant[c.out])))
+                    grant[c.out] = &c;
+        std::vector<const Candidate *> accept(ports, nullptr);
+        for (unsigned o = 0; o < ports; ++o) {
+            const Candidate *g = grant[o];
+            if (g != nullptr &&
+                (accept[g->in] == nullptr || ranksAbove(*g, *accept[g->in])))
+                accept[g->in] = g;
+        }
+        bool progress = false;
+        for (unsigned in = 0; in < ports; ++in) {
+            if (accept[in] == nullptr)
+                continue;
+            in_used[in] = out_used[accept[in]->out] = true;
+            out.push_back(*accept[in]);
+            progress = true;
+        }
+        if (!progress)
+            break;
+    }
+    return out;
+}
+
+TEST(SchedReference, OutputDrivenMatchesNaiveGrantAccept)
+{
+    unsigned grants = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        Rng rng(seed);
+        const auto ports = static_cast<unsigned>(
+            seed % 6 == 0 ? 65 + rng.below(70) : 2 + rng.below(8));
+        // One scheduler across calls, so a mask left set by an earlier
+        // call (or iteration) would show.
+        OutputDrivenScheduler sched(ports);
+        PortMasks masks(ports);
+        for (int call = 0; call < 40; ++call) {
+            const auto per_input = randomCandidates(rng, ports, masks);
+            Matching got;
+            sched.scheduleInto(per_input, masks, rng, got);
+            expectSameMatching(got,
+                               naiveOutputDriven(per_input, masks, ports),
+                               "seed " + std::to_string(seed) + " call " +
+                                   std::to_string(call));
+            grants += static_cast<unsigned>(got.size());
+        }
+    }
+    EXPECT_GT(grants, 4000u) << "candidate sets too sparse to compare";
 }
 
 /** §4.1: a VC may compete when it is bound and mapped, holds a flit

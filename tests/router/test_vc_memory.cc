@@ -178,8 +178,8 @@ class VcMemoryModelRun
         }
         ASSERT_EQ(mem.occupancy(), total);
         ASSERT_EQ(mem.overflowCount(), overflows);
-        mem.auditOccupancy();
-        mem.auditLegality();
+        invariant::enforce(mem.auditOccupancy());
+        invariant::enforce(mem.auditLegality());
     }
 
   private:
