@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "base/bitvector.hh"
 #include "base/rng.hh"
 #include "router/link_sched.hh"
@@ -61,8 +63,7 @@ BM_LinkSchedulerCollect(benchmark::State &state)
     VcMemory mem(256, 8);
     CreditManager credits(8, 256, 4);
     credits.setInfinite(true);
-    LinkScheduler sched(0, &mem, 8, PriorityPolicy::Biased, 512, false);
-    Rng rng(3);
+    LinkScheduler sched(0, &mem, 8, PriorityPolicy::Biased, 512);
     for (unsigned i = 0; i < ready; ++i) {
         const VcId v = static_cast<VcId>(i);
         mem.vc(v).bindCbr(i, 4, 50.0 + i);
@@ -73,7 +74,7 @@ BM_LinkSchedulerCollect(benchmark::State &state)
     std::vector<Candidate> out;
     for (auto _ : state) {
         out.clear();
-        sched.collectCandidates(100, 8, credits, rng, out);
+        sched.collectCandidates(100, 8, credits, out);
         benchmark::DoNotOptimize(out.data());
     }
 }
@@ -101,6 +102,13 @@ BM_SwitchMatching(benchmark::State &state)
             c.tie = rng.uniform();
             per[in].push_back(c);
         }
+        // Rank order, as the link scheduler emits each list.
+        std::sort(per[in].begin(), per[in].end(),
+                  [](const Candidate &a, const Candidate &b) {
+                      if (a.prio != b.prio)
+                          return a.prio > b.prio;
+                      return a.tie > b.tie;
+                  });
     }
     for (auto _ : state) {
         Matching m = sched.schedule(per, masks, rng);

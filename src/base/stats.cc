@@ -59,57 +59,6 @@ StreamStat::stddev() const
     return std::sqrt(variance());
 }
 
-Histogram::Histogram(double lo, double width, std::size_t nbins)
-    : lowEdge(lo), binWidth(width), bins(nbins, 0)
-{
-    mmr_assert(width > 0.0, "histogram bin width must be positive");
-    mmr_assert(nbins > 0, "histogram needs at least one bin");
-}
-
-void
-Histogram::add(double x)
-{
-    ++n;
-    if (x < lowEdge) {
-        ++underflow;
-        return;
-    }
-    const auto b = static_cast<std::size_t>((x - lowEdge) / binWidth);
-    if (b >= bins.size())
-        ++overflow;
-    else
-        ++bins[b];
-}
-
-void
-Histogram::reset()
-{
-    std::fill(bins.begin(), bins.end(), 0);
-    underflow = overflow = n = 0;
-}
-
-double
-Histogram::quantile(double q) const
-{
-    mmr_assert(q >= 0.0 && q <= 1.0, "quantile out of [0,1]");
-    if (n == 0)
-        return 0.0;
-    const double target = q * static_cast<double>(n);
-    double cum = static_cast<double>(underflow);
-    if (target <= cum)
-        return lowEdge;
-    for (std::size_t b = 0; b < bins.size(); ++b) {
-        const double next = cum + static_cast<double>(bins[b]);
-        if (target <= next && bins[b] > 0) {
-            const double frac =
-                (target - cum) / static_cast<double>(bins[b]);
-            return binLow(b) + frac * binWidth;
-        }
-        cum = next;
-    }
-    return lowEdge + binWidth * static_cast<double>(bins.size());
-}
-
 PercentileSketch::PercentileSketch(std::size_t capacity) : cap(capacity)
 {
     mmr_assert(cap > 0, "sketch capacity must be positive");

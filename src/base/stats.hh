@@ -5,8 +5,8 @@
  * The paper reports average delay (microseconds), average jitter (flit
  * cycles) and switch utilization, each averaged over a ~100,000-cycle
  * steady-state window.  These helpers compute streaming moments without
- * retaining samples, plus an optional histogram / percentile sketch for
- * the extended analyses in bench/.
+ * retaining samples, plus a percentile sketch for the extended analyses
+ * in bench/.  Latency histograms are obs/histogram.hh.
  */
 
 #ifndef MMR_BASE_STATS_HH
@@ -48,43 +48,6 @@ class StreamStat
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
     double total = 0.0;
-};
-
-/** Fixed-width linear histogram with overflow bucket. */
-class Histogram
-{
-  public:
-    /**
-     * @param lo lower edge of the first bin
-     * @param width bin width (> 0)
-     * @param nbins number of regular bins; samples beyond the last bin
-     *              land in the overflow bucket
-     */
-    Histogram(double lo, double width, std::size_t nbins);
-
-    void add(double x);
-    void reset();
-
-    std::uint64_t totalCount() const { return n; }
-    std::uint64_t binCount(std::size_t b) const { return bins.at(b); }
-    std::uint64_t overflowCount() const { return overflow; }
-    std::uint64_t underflowCount() const { return underflow; }
-    std::size_t numBins() const { return bins.size(); }
-    double binLow(std::size_t b) const { return lowEdge + b * binWidth; }
-
-    /**
-     * Approximate quantile (q in [0,1]) assuming uniform density
-     * within a bin.  Overflow samples clamp to the top edge.
-     */
-    double quantile(double q) const;
-
-  private:
-    double lowEdge;
-    double binWidth;
-    std::vector<std::uint64_t> bins;
-    std::uint64_t underflow = 0;
-    std::uint64_t overflow = 0;
-    std::uint64_t n = 0;
 };
 
 /**

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "base/bitvector.hh"
-#include "base/rng.hh"
 #include "base/types.hh"
 #include "router/flow_control.hh"
 #include "router/priority.hh"
@@ -38,7 +37,7 @@ struct Candidate
     ConnId conn = kInvalidConn;
     int tier = 0;       ///< ServiceTier as int, larger served first
     double prio = 0.0;  ///< priority within the tier
-    double tie = 0.0;   ///< random tie-break drawn per cycle
+    double tie = 0.0;   ///< the VC's tie-break, drawn at install
 };
 
 class LinkScheduler
@@ -50,12 +49,9 @@ class LinkScheduler
      * @param num_ports router port count (output-port id range)
      * @param policy head-flit priority policy
      * @param cycles_per_round round length (K x V)
-     * @param random_candidates pick candidates uniformly among the
-     *        eligible VCs instead of by priority (Autonet mode)
      */
     LinkScheduler(PortId port, VcMemory *memory, unsigned num_ports,
-                  PriorityPolicy policy, unsigned cycles_per_round,
-                  bool random_candidates);
+                  PriorityPolicy policy, unsigned cycles_per_round);
 
     /**
      * Reset per-round serviced counters at round boundaries.  Rounds
@@ -68,15 +64,15 @@ class LinkScheduler
 
     /**
      * Collect up to @p max_candidates eligible candidates at cycle
-     * @p now, appending to @p out.
+     * @p now, appending them to @p out in (tier, prio, tie) descending
+     * order, the order the greedy switch scheduler requires.  Ties
+     * break by each VC's tie value, drawn once at install.
      *
      * @param credits downstream credit state (credits_available)
-     * @param rng tie-break randomness
      */
     MMR_HOT_PATH void collectCandidates(Cycle now,
                                         unsigned max_candidates,
                                         const CreditManager &credits,
-                                        Rng &rng,
                                         std::vector<Candidate> &out);
 
     /**
@@ -116,7 +112,6 @@ class LinkScheduler
     unsigned numOutPorts; ///< sizes the per-output dedup table
     PriorityPolicy prioPolicy;
     unsigned roundLen;
-    bool randomCandidates;
     Cycle nextRoundStart;
     std::uint64_t rounds = 0;
 

@@ -21,11 +21,6 @@ MmrRouter::MmrRouter(const RouterConfig &cfg_, MetricsRecorder *metrics_)
       bypassMasks(cfg_.numPorts)
 {
     cfg.validate();
-    // Anderson et al.'s iterative matching arbitrates randomly, but
-    // each queue offers its *oldest* cell — so Autonet mode pairs the
-    // random switch arbiter with age-ordered candidate selection
-    // rather than random selection.
-    const bool random_candidates = false;
     inputMems.reserve(cfg.numPorts);
     linkScheds.reserve(cfg.numPorts);
     // A matching holds at most one grant per input port.
@@ -41,6 +36,9 @@ MmrRouter::MmrRouter(const RouterConfig &cfg_, MetricsRecorder *metrics_)
     lastConfig.reserve(cfg.numPorts);
     ledgerAlloc.resize(cfg.numPorts);
     ledgerPeak.resize(cfg.numPorts);
+    // Anderson et al.'s iterative matching arbitrates randomly, but
+    // each queue offers its *oldest* cell — so Autonet mode pairs the
+    // random switch arbiter with age-ordered candidate selection.
     PriorityPolicy policy = PriorityPolicy::Biased;
     if (cfg.scheduler == SchedulerKind::FixedPriority)
         policy = PriorityPolicy::Fixed;
@@ -50,8 +48,7 @@ MmrRouter::MmrRouter(const RouterConfig &cfg_, MetricsRecorder *metrics_)
     for (PortId p = 0; p < cfg.numPorts; ++p) {
         inputMems.emplace_back(cfg.vcsPerPort, cfg.vcBufferFlits);
         linkScheds.emplace_back(p, &inputMems.back(), cfg.numPorts,
-                                policy, cfg.cyclesPerRound(),
-                                random_candidates);
+                                policy, cfg.cyclesPerRound());
     }
     phitBufs.resize(cfg.numPorts);
     candScratch.resize(cfg.numPorts);
@@ -102,20 +99,12 @@ MmrRouter::openCbr(PortId in, PortId out, double rate_bps)
     }
 
     SegmentParams p;
-    p.id = nextLocalConn();
     p.klass = TrafficClass::CBR;
     p.in = in;
-    p.inVc = routes.allocInputVc(in);
     p.out = out;
-    p.outVc = routes.allocOutputVc(out);
     p.allocCycles = cycles;
     p.interArrival = interArrivalCycles(rate_bps, cfg.linkRateBps);
-    if (p.inVc == kInvalidVc || p.outVc == kInvalidVc ||
-        !installSegment(p)) {
-        if (p.inVc != kInvalidVc)
-            routes.freeInputVc(in, p.inVc);
-        if (p.outVc != kInvalidVc)
-            routes.freeOutputVc(out, p.outVc);
+    if (!openLocal(p)) {
         admit.releaseCbr(out, cycles);
         return kInvalidConn;
     }
@@ -143,22 +132,14 @@ MmrRouter::openVbr(PortId in, PortId out, double mean_bps,
     }
 
     SegmentParams p;
-    p.id = nextLocalConn();
     p.klass = TrafficClass::VBR;
     p.in = in;
-    p.inVc = routes.allocInputVc(in);
     p.out = out;
-    p.outVc = routes.allocOutputVc(out);
     p.permCycles = perm;
     p.peakCycles = peak;
     p.interArrival = interArrivalCycles(mean_bps, cfg.linkRateBps);
     p.priority = priority;
-    if (p.inVc == kInvalidVc || p.outVc == kInvalidVc ||
-        !installSegment(p)) {
-        if (p.inVc != kInvalidVc)
-            routes.freeInputVc(in, p.inVc);
-        if (p.outVc != kInvalidVc)
-            routes.freeOutputVc(out, p.outVc);
+    if (!openLocal(p)) {
         admit.releaseVbr(out, perm, peak);
         return kInvalidConn;
     }
@@ -172,21 +153,25 @@ ConnId
 MmrRouter::openBestEffort(PortId in, PortId out)
 {
     SegmentParams p;
-    p.id = nextLocalConn();
     p.klass = TrafficClass::BestEffort;
     p.in = in;
-    p.inVc = routes.allocInputVc(in);
     p.out = out;
-    p.outVc = routes.allocOutputVc(out);
-    if (p.inVc == kInvalidVc || p.outVc == kInvalidVc ||
-        !installSegment(p)) {
-        if (p.inVc != kInvalidVc)
-            routes.freeInputVc(in, p.inVc);
-        if (p.outVc != kInvalidVc)
-            routes.freeOutputVc(out, p.outVc);
-        return kInvalidConn;
-    }
-    return p.id;
+    return openLocal(p) ? p.id : kInvalidConn;
+}
+
+bool
+MmrRouter::openLocal(SegmentParams &p)
+{
+    p.id = nextLocalConn();
+    p.inVc = routes.allocInputVc(p.in);
+    p.outVc = routes.allocOutputVc(p.out);
+    if (p.inVc != kInvalidVc && p.outVc != kInvalidVc && installSegment(p))
+        return true;
+    if (p.inVc != kInvalidVc)
+        routes.freeInputVc(p.in, p.inVc);
+    if (p.outVc != kInvalidVc)
+        routes.freeOutputVc(p.out, p.outVc);
+    return false;
 }
 
 // mmr-lint: allow(hot-path-alloc) setup path: a segment is installed
@@ -249,7 +234,7 @@ MmrRouter::removeSegment(ConnId id)
                "removing segment with in-flight flits on conn ", id);
     vc.release();
     inputMems[p.in].markSchedDirty(p.inVc);
-    routes.unmap(ChannelRef{p.in, p.inVc});
+    routes.unmap(ChannelRef{p.in, p.inVc}, ChannelRef{p.out, p.outVc});
     if (p.ownsInputVc)
         routes.freeInputVc(p.in, p.inVc);
     if (p.ownsOutputVc)
@@ -351,14 +336,7 @@ MmrRouter::inject(ConnId id, Flit f)
     const SegmentParams &p = *found;
     f.conn = id;
     f.klass = p.klass;
-    if (!inputMems[p.in].deposit(p.inVc, f)) {
-        ++statInjectReject;
-        return false;
-    }
-    ++statInjected;
-    MMR_OBS_EVENT(TraceCat::Flit, "inject", f.readyTime(), p.in, id,
-                  static_cast<std::int32_t>(p.inVc));
-    return true;
+    return injectRaw(p.in, p.inVc, f);
 }
 
 bool
@@ -476,18 +454,10 @@ MmrRouter::processBypass(Cycle now)
             chan = it->second;
         } else {
             SegmentParams p;
-            p.id = nextLocalConn();
             p.klass = TrafficClass::Control;
             p.in = req.in;
-            p.inVc = routes.allocInputVc(req.in);
             p.out = req.out;
-            p.outVc = routes.allocOutputVc(req.out);
-            if (p.inVc == kInvalidVc || p.outVc == kInvalidVc ||
-                !installSegment(p)) {
-                if (p.inVc != kInvalidVc)
-                    routes.freeInputVc(req.in, p.inVc);
-                if (p.outVc != kInvalidVc)
-                    routes.freeOutputVc(req.out, p.outVc);
+            if (!openLocal(p)) {
                 ++statControlDrops;
                 continue;
             }
@@ -517,7 +487,7 @@ MmrRouter::evaluate(Cycle now)
         if (inputMems[p].occupancy() == 0)
             continue;
         linkScheds[p].collectCandidates(now, cfg.candidates, creditMgr,
-                                        rand, candScratch[p]);
+                                        candScratch[p]);
         if (!creditMgr.isInfinite()) {
             // Re-check credits against pending grants (the coarse
             // credits_available bit cannot see in-flight grants).

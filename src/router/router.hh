@@ -276,6 +276,12 @@ class MmrRouter : public Clocked
 
   private:
     ConnId nextLocalConn();
+    /**
+     * Install @p p (klass, ports and class fields set) on a fresh
+     * local id and the lowest free input, then output, VC; frees both
+     * VCs when that fails.  The caller releases its own admission.
+     */
+    bool openLocal(SegmentParams &p);
     bool creditAvailable(const VcState &vc) const;
     void applyMatching(Cycle now);
     void processBypass(Cycle now);

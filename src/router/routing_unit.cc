@@ -7,10 +7,7 @@ namespace mmr
 
 RoutingUnit::RoutingUnit(unsigned num_ports, unsigned vcs_per_port)
     : ports(num_ports), vcs(vcs_per_port),
-      direct(static_cast<std::size_t>(num_ports) * vcs_per_port),
-      reverse(static_cast<std::size_t>(num_ports) * vcs_per_port),
-      histories(static_cast<std::size_t>(num_ports) * vcs_per_port,
-                BitVector(num_ports))
+      owner(static_cast<std::size_t>(num_ports) * vcs_per_port)
 {
     mmr_assert(ports > 0 && vcs > 0, "degenerate routing unit");
     inputFree.reserve(ports);
@@ -86,44 +83,18 @@ RoutingUnit::freeOutputVcCount(PortId port) const
 void
 RoutingUnit::map(ChannelRef in, ChannelRef out)
 {
-    mmr_assert(!direct[index(in)].valid(), "input channel already mapped");
-    mmr_assert(!reverse[index(out)].valid(),
-               "output channel already mapped");
-    direct[index(in)] = out;
-    reverse[index(out)] = in;
+    ChannelRef &o = owner[index(out)];
+    mmr_assert(!o.valid(), "output channel already mapped");
+    o = in;
 }
 
 void
-RoutingUnit::unmap(ChannelRef in)
+RoutingUnit::unmap(ChannelRef in, ChannelRef out)
 {
-    const ChannelRef out = direct[index(in)];
-    mmr_assert(out.valid(), "unmapping a channel with no mapping");
-    direct[index(in)] = ChannelRef{};
-    reverse[index(out)] = ChannelRef{};
-}
-
-ChannelRef
-RoutingUnit::directMap(ChannelRef in) const
-{
-    return direct[index(in)];
-}
-
-ChannelRef
-RoutingUnit::reverseMap(ChannelRef out) const
-{
-    return reverse[index(out)];
-}
-
-BitVector &
-RoutingUnit::history(ChannelRef in)
-{
-    return histories[index(in)];
-}
-
-void
-RoutingUnit::clearHistory(ChannelRef in)
-{
-    histories[index(in)].clearAll();
+    ChannelRef &o = owner[index(out)];
+    mmr_assert(o == in, "unmapping (", in.port, ",", in.vc, ") -> (",
+               out.port, ",", out.vc, "), which has no such mapping");
+    o = ChannelRef{};
 }
 
 } // namespace mmr

@@ -1,16 +1,15 @@
 /**
  * @file
- * Routing and Arbitration Unit (§3.5).
+ * Routing and Arbitration Unit (§3.5): the free-VC pools and the
+ * output-VC owner table.
  *
- * Keeps the channel mappings between input and output virtual channels
- * for established connections.  Direct mappings forward data flits;
- * reverse mappings serve backtracking headers and returned
- * acknowledgments, and propagate status information.  A history store
- * associated with each input virtual channel records the output links
- * a probe has already searched (EPB, Gaughan & Yalamanchili).
- *
- * Also owns the free-VC bookkeeping per port, which both connection
- * establishment (PCS) and best-effort VC allocation (VCT) draw from.
+ * The unit's other facts live where they are read.  The direct
+ * mapping of an input virtual channel is its VcState
+ * (`outPort()`/`outVc()`), and the EPB history store is the probe's
+ * SearchHistory (network/epb.hh).  What stays here is the free-VC
+ * bookkeeping per port, which both connection establishment (PCS)
+ * and best-effort VC allocation (VCT) draw from, and the owner of each
+ * output VC, which refuses a second mapping onto one output channel.
  */
 
 #ifndef MMR_ROUTER_ROUTING_UNIT_HH
@@ -52,21 +51,12 @@ class RoutingUnit
     unsigned freeInputVcCount(PortId port) const;
     unsigned freeOutputVcCount(PortId port) const;
 
-    /** Record a direct + reverse mapping for a connection. */
+    /** Make @p in the owner of output channel @p out; panics when
+     * @p out already has one. */
     void map(ChannelRef in, ChannelRef out);
 
-    /** Tear a mapping down (both directions). */
-    void unmap(ChannelRef in);
-
-    /** Direct mapping: where do flits of this input VC go? */
-    ChannelRef directMap(ChannelRef in) const;
-
-    /** Reverse mapping: which input VC feeds this output VC? */
-    ChannelRef reverseMap(ChannelRef out) const;
-
-    /** EPB history store for an input VC (bits index output ports). */
-    BitVector &history(ChannelRef in);
-    void clearHistory(ChannelRef in);
+    /** Release output channel @p out; panics unless @p in owns it. */
+    void unmap(ChannelRef in, ChannelRef out);
 
     unsigned numPorts() const { return ports; }
     unsigned vcsPerPort() const { return vcs; }
@@ -78,9 +68,7 @@ class RoutingUnit
     unsigned vcs;
     std::vector<BitVector> inputFree;  ///< per input port
     std::vector<BitVector> outputFree; ///< per output port
-    std::vector<ChannelRef> direct;    ///< indexed by input channel
-    std::vector<ChannelRef> reverse;   ///< indexed by output channel
-    std::vector<BitVector> histories;  ///< indexed by input channel
+    std::vector<ChannelRef> owner;     ///< indexed by output channel
 };
 
 } // namespace mmr

@@ -121,9 +121,8 @@ SwitchScheduler::create(const RouterConfig &cfg)
 }
 
 GreedyPriorityScheduler::GreedyPriorityScheduler(unsigned num_ports)
-    : numPorts(num_ports), req(num_ports), holder(num_ports),
-      choice(num_ports), tried(num_ports), visited(num_ports),
-      inTaken(num_ports), outTaken(num_ports)
+    : numPorts(num_ports), holder(num_ports), choice(num_ports),
+      visited(num_ports), inTaken(num_ports), outTaken(num_ports)
 {
 }
 
@@ -132,41 +131,13 @@ namespace
 
 /**
  * Kuhn-style augmenting search: try to route input @p in to one of
- * its candidate outputs, displacing lower-stage assignments along an
- * alternating path.  @p holder maps each output to the input holding
- * it (or numPorts when free), @p choice records which candidate each
- * input ended up with.
- */
-bool
-augment(PortId in, const std::vector<std::vector<const Candidate *>> &req,
-        std::vector<unsigned> &holder,
-        std::vector<const Candidate *> &choice,
-        std::vector<bool> &visited, const std::vector<bool> &out_masked,
-        unsigned num_ports)
-{
-    for (const Candidate *c : req[in]) {
-        const PortId out = c->out;
-        if (out_masked[out] || visited[out])
-            continue;
-        visited[out] = true;
-        if (holder[out] == num_ports ||
-            augment(static_cast<PortId>(holder[out]), req, holder, choice,
-                    visited, out_masked, num_ports)) {
-            holder[out] = in;
-            choice[in] = c;
-            return true;
-        }
-    }
-    return false;
-}
-
-/**
- * Merge-path variant of augment(): input @p in's request list is the
- * contiguous run per_input[in][seg_begin[in], seg_end[in]) — the
- * current tier's slice of its pre-sorted candidate list — traversed in
- * place (no per-tier pointer vectors).  Skipping out_masked outputs
- * here is equivalent to filtering them while building req[]: both see
- * the tier-entry snapshot of out_masked, in the same candidate order.
+ * its candidate outputs, displacing same-tier assignments along an
+ * alternating path.  Input @p in's request list is the contiguous run
+ * per_input[in][seg_begin[in], seg_end[in]) — the current tier's slice
+ * of its pre-sorted candidate list — traversed in place.  @p holder
+ * maps each output to the input holding it (or numPorts when free),
+ * @p choice records which candidate each input ended up with; outputs
+ * set in @p out_masked (busy, or won by a higher tier) are skipped.
  */
 bool
 augmentRun(unsigned in,
@@ -197,9 +168,9 @@ augmentRun(unsigned in,
 
 } // namespace
 
-// mmr-lint: allow(hot-path-alloc) amortized: the matching and
-// any per-call scratch reuse caller/member capacity across
-// cycles (verified dynamically by test_zero_alloc).
+// mmr-lint: allow(hot-path-alloc) amortized: the matching and the
+// segPos/segBegin/segEnd/attemptOrder members keep their capacity
+// across cycles (verified dynamically by test_zero_alloc).
 void
 GreedyPriorityScheduler::scheduleInto(
     const std::vector<std::vector<Candidate>> &per_input,
@@ -208,26 +179,21 @@ GreedyPriorityScheduler::scheduleInto(
     (void)rng; // tie-break randomness is pre-drawn in Candidate::tie
     out.clear();
 
-    for (PortId p = 0; p < numPorts; ++p) {
-        inTaken[p] = masks.busyIn.test(p);
-        outTaken[p] = masks.busyOut.test(p);
-    }
-
-    // Router-shaped inputs — list p holds input port p's candidates,
-    // already sorted by (tier, prio, tie) by the link scheduler, with
-    // in-range ports — take the merge path, which skips the global
-    // flat sort.  Anything else (hand-built test inputs) falls back to
-    // the general path.  The scan is cheap: the lists were written
-    // this cycle and are still cache-hot.
-    bool router_shaped = per_input.size() <= numPorts;
-    for (std::size_t p = 0; router_shaped && p < per_input.size(); ++p) {
+    // Precondition: router-shaped input (see the class comment).  The
+    // scan is cheap: the lists were written this cycle and are still
+    // cache-hot.
+    const auto nin = static_cast<unsigned>(per_input.size());
+    mmr_assert(nin <= numPorts, nin, " candidate lists for a ", numPorts,
+               "-port switch");
+    for (unsigned p = 0; p < nin; ++p) {
         const auto &cands = per_input[p];
         for (std::size_t i = 0; i < cands.size(); ++i) {
             const Candidate &c = cands[i];
-            if (c.in != static_cast<PortId>(p) || c.out >= numPorts) {
-                router_shaped = false;
-                break;
-            }
+            mmr_assert(c.in == p, "candidate list ", p, " entry ", i,
+                       " belongs to input ", c.in);
+            mmr_assert(c.out < numPorts, "candidate list ", p, " entry ",
+                       i, " requests output ", c.out, " of a ", numPorts,
+                       "-port switch");
             if (i == 0)
                 continue;
             const Candidate &prev = cands[i - 1];
@@ -236,107 +202,33 @@ GreedyPriorityScheduler::scheduleInto(
                 (c.tier == prev.tier &&
                  (c.prio < prev.prio ||
                   (c.prio == prev.prio && c.tie <= prev.tie)));
-            if (!in_order) {
-                router_shaped = false;
-                break;
-            }
+            mmr_assert(in_order, "candidate list ", p, " entry ", i,
+                       " is out of (tier, prio, tie) rank order");
         }
     }
 
-    if (router_shaped)
-        scheduleMerge(per_input, out);
-    else
-        scheduleFlat(per_input, out);
-}
-
-// mmr-lint: allow(hot-path-alloc) amortized: the matching and
-// any per-call scratch reuse caller/member capacity across
-// cycles (verified dynamically by test_zero_alloc).
-void
-GreedyPriorityScheduler::scheduleFlat(
-    const std::vector<std::vector<Candidate>> &per_input, Matching &out)
-{
-    flat.clear();
-    for (const auto &cands : per_input)
-        for (const Candidate &c : cands)
-            flat.push_back(&c);
-
-    // Arbitrate by (tier, priority, stable tie).  Service tiers are
-    // strict (§4.3): the matching is computed tier by tier, from
-    // control down to best effort, and a lower tier may never displace
-    // or reroute a grant won by a higher tier.  Within one tier,
-    // candidates are admitted in priority order but later candidates
-    // may re-route earlier same-tier inputs to alternates (augmenting
-    // paths), yielding a maximum matching for the tier — the
-    // "maximize the probability of assigning virtual channels to
-    // every output link" goal of §4.4.
-    std::sort(flat.begin(), flat.end(),
-              [](const Candidate *a, const Candidate *b) {
-                  if (a->tier != b->tier)
-                      return a->tier > b->tier;
-                  if (a->prio != b->prio)
-                      return a->prio > b->prio;
-                  return a->tie > b->tie;
-              });
-
-    std::size_t tier_begin = 0;
-    while (tier_begin < flat.size()) {
-        const int tier = flat[tier_begin]->tier;
-        std::size_t tier_end = tier_begin;
-        while (tier_end < flat.size() && flat[tier_end]->tier == tier)
-            ++tier_end;
-
-        // Per-input candidate lists for this tier, in priority order,
-        // restricted to ports still free after the higher tiers.
-        for (PortId p = 0; p < numPorts; ++p) {
-            req[p].clear();
-            holder[p] = numPorts;
-            choice[p] = nullptr;
-            tried[p] = false;
-        }
-        for (std::size_t i = tier_begin; i < tier_end; ++i) {
-            const Candidate &c = *flat[i];
-            if (c.in < numPorts && !inTaken[c.in] && !outTaken[c.out])
-                req[c.in].push_back(&c);
-        }
-        for (std::size_t i = tier_begin; i < tier_end; ++i) {
-            const Candidate &c = *flat[i];
-            if (c.in >= numPorts || inTaken[c.in] || tried[c.in])
-                continue;
-            tried[c.in] = true; // one augmenting attempt per input
-            std::fill(visited.begin(), visited.end(), false);
-            augment(c.in, req, holder, choice, visited, outTaken,
-                    numPorts);
-        }
-        for (PortId in = 0; in < numPorts; ++in) {
-            if (choice[in] != nullptr) {
-                out.push_back(*choice[in]);
-                inTaken[in] = true;
-                outTaken[choice[in]->out] = true;
-            }
-        }
-        tier_begin = tier_end;
+    for (PortId p = 0; p < numPorts; ++p) {
+        inTaken[p] = masks.busyIn.test(p);
+        outTaken[p] = masks.busyOut.test(p);
     }
-}
-
-// mmr-lint: allow(hot-path-alloc) amortized: segPos/segBegin/segEnd/
-// attemptOrder are members sized once per port count; their capacity
-// persists across cycles (verified dynamically by test_zero_alloc).
-void
-GreedyPriorityScheduler::scheduleMerge(
-    const std::vector<std::vector<Candidate>> &per_input, Matching &out)
-{
-    const auto nin = static_cast<unsigned>(per_input.size());
     segPos.assign(nin, 0);
     segBegin.resize(nin);
     segEnd.resize(nin);
     if (attemptOrder.size() < nin)
         attemptOrder.resize(nin);
 
-    // Tiers arrive in descending order within every list, so the
-    // highest tier among the per-input cursors is the next tier the
-    // flat sort would have produced; its candidates are exactly the
-    // per-input runs at the cursors.
+    // Arbitrate by (tier, priority, stable tie).  Service tiers are
+    // strict (§4.3): the matching is computed tier by tier, from
+    // control down to best effort, and a lower tier may never displace
+    // or reroute a grant won by a higher tier.  Within one tier,
+    // inputs are admitted in priority order but later inputs may
+    // re-route earlier same-tier inputs to alternates (augmenting
+    // paths), yielding a maximum matching for the tier — the
+    // "maximize the probability of assigning virtual channels to
+    // every output link" goal of §4.4.  Tiers descend within every
+    // list, so the highest tier among the per-input cursors is the
+    // next tier, and its candidates are the per-input runs at the
+    // cursors.
     for (;;) {
         constexpr int kNoTier = std::numeric_limits<int>::min();
         int tier = kNoTier;
@@ -348,8 +240,7 @@ GreedyPriorityScheduler::scheduleMerge(
             break;
 
         // Slice this tier's run out of each list.  The runs double as
-        // the per-input request lists: they are already in (prio, tie)
-        // order, which is what the flat path's req[] held.
+        // the per-input request lists, already in (prio, tie) order.
         unsigned n_attempt = 0;
         for (unsigned p = 0; p < nin; ++p) {
             const auto &cands = per_input[p];
@@ -365,10 +256,8 @@ GreedyPriorityScheduler::scheduleMerge(
             }
         }
 
-        // The flat path attempts one augmenting search per input, in
-        // the order of each input's first appearance in the globally
-        // sorted candidate stream — i.e. by the rank of its best
-        // candidate.  Sorting one head per input reproduces it.
+        // One augmenting search per input, in the rank order of each
+        // input's best candidate in this tier: its run's head.
         std::sort(attemptOrder.begin(),
                   attemptOrder.begin() + n_attempt,
                   [&](unsigned a, unsigned b) {

@@ -113,7 +113,14 @@ class SwitchScheduler
         const RouterConfig &cfg);
 };
 
-/** Global (tier, priority) arbitration: MMR biased/fixed schemes. */
+/**
+ * Global (tier, priority) arbitration: MMR biased/fixed schemes.
+ *
+ * Takes router-shaped input only, and panics on anything else: list p
+ * holds input port p's candidates, in (tier, prio, tie) descending
+ * order, with every output below the port count.  The link scheduler
+ * emits exactly this shape.
+ */
 class GreedyPriorityScheduler : public SwitchScheduler
 {
   public:
@@ -125,40 +132,17 @@ class GreedyPriorityScheduler : public SwitchScheduler
     std::string name() const override { return "greedy-priority"; }
 
   private:
-    /**
-     * Fast path for router-shaped inputs: every per-input list is
-     * already sorted by (tier, prio, tie) — the link scheduler emits
-     * exactly this order — so the global sort collapses to walking
-     * per-input tier runs and ordering at most one head candidate per
-     * input.  Results are identical to the flat sort (same augmenting
-     * order, same grants); only the work to derive the order shrinks.
-     */
-    void scheduleMerge(
-        const std::vector<std::vector<Candidate>> &per_input,
-        Matching &out);
-
-    /** General path: arbitrary candidate lists (tests, adapters). */
-    void scheduleFlat(
-        const std::vector<std::vector<Candidate>> &per_input,
-        Matching &out);
-
     unsigned numPorts;
 
     // Per-cycle scratch, reused so steady state allocates nothing.
-    // flat holds pointers into the caller's candidate lists: sorting
-    // 8-byte pointers moves far less data per cycle than sorting the
-    // 40-byte Candidate values themselves.
-    std::vector<const Candidate *> flat;
-    std::vector<std::vector<const Candidate *>> req; ///< per input
     std::vector<unsigned> holder;
     std::vector<const Candidate *> choice;
-    std::vector<bool> tried;
     std::vector<bool> visited;
     std::vector<bool> inTaken;
     std::vector<bool> outTaken;
 
-    // Merge-path scratch: per-input cursors and the bounds of the
-    // current tier's run inside each (pre-sorted) candidate list.
+    // Per-input cursors and the bounds of the current tier's run
+    // inside each (pre-sorted) candidate list.
     std::vector<std::uint32_t> segPos;
     std::vector<std::uint32_t> segBegin;
     std::vector<std::uint32_t> segEnd;

@@ -87,44 +87,6 @@ TEST(StreamStat, ResetForgets)
     EXPECT_EQ(s.mean(), 0.0);
 }
 
-TEST(Histogram, BinningAndOverflow)
-{
-    Histogram h(0.0, 1.0, 10);
-    h.add(-0.5);  // underflow
-    h.add(0.0);   // bin 0
-    h.add(0.999); // bin 0
-    h.add(5.5);   // bin 5
-    h.add(9.999); // bin 9
-    h.add(10.0);  // overflow
-    h.add(100.0); // overflow
-    EXPECT_EQ(h.totalCount(), 7u);
-    EXPECT_EQ(h.underflowCount(), 1u);
-    EXPECT_EQ(h.overflowCount(), 2u);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.binLow(5), 5.0);
-}
-
-TEST(Histogram, QuantileUniform)
-{
-    Histogram h(0.0, 1.0, 100);
-    for (int i = 0; i < 10000; ++i)
-        h.add((i % 100) + 0.5);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.99), 99.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.0), 0.0, 1.0);
-}
-
-TEST(Histogram, ResetClears)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(2.0);
-    h.reset();
-    EXPECT_EQ(h.totalCount(), 0u);
-    EXPECT_EQ(h.binCount(2), 0u);
-}
-
 TEST(PercentileSketch, ExactWhenUnderCapacity)
 {
     PercentileSketch s(1000);

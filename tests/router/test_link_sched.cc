@@ -26,7 +26,7 @@ class LinkSchedTest : public ::testing::Test
   protected:
     LinkSchedTest()
         : mem(16, 8), credits(4, 16, 2),
-          sched(0, &mem, 4, PriorityPolicy::Biased, 32, false), rng(9)
+          sched(0, &mem, 4, PriorityPolicy::Biased, 32)
     {
         credits.setInfinite(true);
     }
@@ -46,14 +46,13 @@ class LinkSchedTest : public ::testing::Test
     collect(Cycle now, unsigned max_c)
     {
         std::vector<Candidate> out;
-        sched.collectCandidates(now, max_c, credits, rng, out);
+        sched.collectCandidates(now, max_c, credits, out);
         return out;
     }
 
     VcMemory mem;
     CreditManager credits;
     LinkScheduler sched;
-    Rng rng;
 };
 
 TEST_F(LinkSchedTest, NoFlitsNoCandidates)
@@ -324,7 +323,7 @@ TEST(LinkSchedDifferential, MatchesNaiveCollectAcrossSkippedCycles)
         VcMemory mem(kVcs, 4);
         CreditManager credits(kOutputs, kVcs, 2);
         LinkScheduler sched(0, &mem, kOutputs, PriorityPolicy::Biased,
-                            kRound, false);
+                            kRound);
         std::vector<unsigned> serviced(kVcs, 0);
         // Distinct tie-breaks make the rank a total order, so any
         // correct sort selects and orders the same candidates.
@@ -430,8 +429,7 @@ TEST(LinkSchedDifferential, MatchesNaiveCollectAcrossSkippedCycles)
             } else {
                 ++collects;
                 std::vector<Candidate> got;
-                sched.collectCandidates(now, kCandidates, credits, rng,
-                                        got);
+                sched.collectCandidates(now, kCandidates, credits, got);
                 ASSERT_EQ(sched.cachedEligibleMask(),
                           sched.eligibleMask(now, credits))
                     << "seed " << seed << " cycle " << now;

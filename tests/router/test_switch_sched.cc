@@ -42,6 +42,24 @@ perInput(unsigned ports, std::initializer_list<Candidate> cs)
     return v;
 }
 
+/** @p per with each list in (tier, prio, tie) descending order, the
+ * shape the link scheduler emits and the greedy scheduler requires. */
+std::vector<std::vector<Candidate>>
+rankSorted(std::vector<std::vector<Candidate>> per)
+{
+    for (auto &list : per) {
+        std::sort(list.begin(), list.end(),
+                  [](const Candidate &a, const Candidate &b) {
+                      if (a.tier != b.tier)
+                          return a.tier > b.tier;
+                      if (a.prio != b.prio)
+                          return a.prio > b.prio;
+                      return a.tie > b.tie;
+                  });
+    }
+    return per;
+}
+
 bool
 contains(const Matching &m, PortId in, PortId out)
 {
@@ -57,7 +75,7 @@ TEST(GreedyPriority, SimpleConflictGoesToHigherPriority)
     Rng rng(1);
     // Both inputs want output 0; input 1 has the higher priority and
     // input 0 has no alternative.
-    auto in = perInput(4, {cand(0, 0, 1.0), cand(1, 0, 2.0)});
+    auto in = rankSorted(perInput(4, {cand(0, 0, 1.0), cand(1, 0, 2.0)}));
     const Matching m = s.schedule(in, masks, rng);
     ASSERT_TRUE(SwitchScheduler::validate(m, 4, false));
     ASSERT_EQ(m.size(), 1u);
@@ -74,8 +92,8 @@ TEST(GreedyPriority, AugmentationFindsMaximumMatching)
     GreedyPriorityScheduler s(2);
     PortMasks masks(2);
     Rng rng(2);
-    auto in = perInput(
-        2, {cand(0, 0, 9.0), cand(0, 1, 1.0), cand(1, 0, 0.5)});
+    auto in = rankSorted(perInput(
+        2, {cand(0, 0, 9.0), cand(0, 1, 1.0), cand(1, 0, 0.5)}));
     const Matching m = s.schedule(in, masks, rng);
     ASSERT_TRUE(SwitchScheduler::validate(m, 2, false));
     EXPECT_EQ(m.size(), 2u);
@@ -88,9 +106,9 @@ TEST(GreedyPriority, TierBeatsPriority)
     GreedyPriorityScheduler s(2);
     PortMasks masks(2);
     Rng rng(3);
-    auto in = perInput(
+    auto in = rankSorted(perInput(
         2, {cand(0, 0, 100.0, static_cast<int>(ServiceTier::BestEffort)),
-            cand(1, 0, 0.1, static_cast<int>(ServiceTier::Control))});
+            cand(1, 0, 0.1, static_cast<int>(ServiceTier::Control))}));
     const Matching m = s.schedule(in, masks, rng);
     ASSERT_EQ(m.size(), 1u);
     EXPECT_EQ(m[0].in, 1u) << "control outranks any best-effort ratio";
@@ -102,7 +120,7 @@ TEST(GreedyPriority, BusyMasksExcludePorts)
     PortMasks masks(2);
     masks.busyOut.set(0);
     Rng rng(4);
-    auto in = perInput(2, {cand(0, 0, 5.0), cand(1, 1, 1.0)});
+    auto in = rankSorted(perInput(2, {cand(0, 0, 5.0), cand(1, 1, 1.0)}));
     const Matching m = s.schedule(in, masks, rng);
     ASSERT_EQ(m.size(), 1u);
     EXPECT_EQ(m[0].out, 1u);
@@ -121,6 +139,35 @@ TEST(GreedyPriority, EmptyInput)
     Rng rng(5);
     std::vector<std::vector<Candidate>> in(4);
     EXPECT_TRUE(s.schedule(in, masks, rng).empty());
+}
+
+TEST(GreedyPriorityDeath, ListOutOfRankOrderPanics)
+{
+    GreedyPriorityScheduler s(4);
+    PortMasks masks(4);
+    Rng rng(8);
+    // List 2 offers its lower-priority candidate first.
+    std::vector<std::vector<Candidate>> in(4);
+    in[2] = {cand(2, 0, 1.0), cand(2, 1, 3.0)};
+    EXPECT_DEATH(s.schedule(in, masks, rng),
+                 "candidate list 2 entry 1 is out of .* rank order");
+    // A lower tier ahead of a higher one, whatever the priorities.
+    in[2] = {cand(2, 0, 9.0, static_cast<int>(ServiceTier::BestEffort)),
+             cand(2, 1, 1.0, static_cast<int>(ServiceTier::Control))};
+    EXPECT_DEATH(s.schedule(in, masks, rng),
+                 "candidate list 2 entry 1 is out of .* rank order");
+}
+
+TEST(GreedyPriorityDeath, CandidateOfAnotherInputPanics)
+{
+    GreedyPriorityScheduler s(4);
+    PortMasks masks(4);
+    Rng rng(9);
+    // Input 3's candidate filed in list 1.
+    std::vector<std::vector<Candidate>> in(4);
+    in[1] = {cand(3, 0, 1.0)};
+    EXPECT_DEATH(s.schedule(in, masks, rng),
+                 "candidate list 1 entry 0 belongs to input 3");
 }
 
 TEST(Perfect, SharesOutputs)
@@ -236,7 +283,7 @@ TEST_P(SwitchSchedProperty, AllAlgorithmsProduceLegalMatchings)
 
     for (int round = 0; round < 200; ++round) {
         const auto per = randomCandidates(rng, ports, 8);
-        const Matching mg = greedy.schedule(per, masks, rng);
+        const Matching mg = greedy.schedule(rankSorted(per), masks, rng);
         const Matching mo = outdrv.schedule(per, masks, rng);
         const Matching ma = autonet.schedule(per, masks, rng);
         const Matching mi = islip.schedule(per, masks, rng);
